@@ -30,16 +30,15 @@ from .words import (
 from .grigorchuk import (
     EventuallyConstantError,
     OmegaWord,
-    Portrait,
+    TreeKeys,
     act,
-    fingerprint_depth,
+    acts_trivially_to_depth,
     generator_action,
     is_trivial,
     level_permutation,
     limit_trivial,
     order_of,
     parse_omega,
-    portrait_of,
     root_parity,
     route_constant,
     sections,
@@ -66,7 +65,6 @@ from .marked_space import (
     AgreeRadius,
     CayleyBall,
     Fingerprint,
-    FingerprintMismatch,
     MarkedGroupHandle,
     SeparatorReport,
     agree_radius,

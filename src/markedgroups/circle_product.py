@@ -20,9 +20,10 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SSpec",
@@ -377,6 +378,8 @@ def racg_matrix_oracle(w: GPWord, spec: SSpec, window: tuple[int, int]) -> bool:
     generator maps to an exact integer reflection matrix. Faithful for
     right-angled Coxeter groups, hence independent of the rewriting.
     """
+    import numpy as np
+
     if w.n != 2:
         raise ValueError("matrix oracle requires modulus 2")
     lo, hi = window

@@ -148,7 +148,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
         if args.omega is None:
             raise ValueError("--omega is required for tree families")
         handle = _tree_handle(parse_omega(args.omega), 4 if args.family == "grig" else 2)
-    gamma = growth_sequence(handle, args.n_max, threads=args.threads)
+    gamma = growth_sequence(handle, args.n_max)
     buf = io.StringIO()
     write_growth_csv(gamma, buf)
     _emit(buf.getvalue(), args.out)
@@ -170,7 +170,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     lines = ["j,agree_N,exact"]
     for j in range(args.j_min, args.j_max + 1):
         handle = l_subgroup_handle("0" * j + "(012)")
-        r = agree_radius(handle, target, args.n_max, threads=args.threads)
+        r = agree_radius(handle, target, args.n_max)
         lines.append(f"{j},{r.n},{str(r.exact).lower()}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -197,8 +197,8 @@ def cmd_separate(args: argparse.Namespace) -> int:
     )
     cfg.validate()
     om1, om2 = parse_omega(args.omega1), parse_omega(args.omega2)
-    four = find_separating_word(_tree_handle(om1, 4), _tree_handle(om2, 4), args.l_max, threads=args.threads)
-    two = find_separating_word(_tree_handle(om1, 2), _tree_handle(om2, 2), args.l_max, threads=args.threads)
+    four = find_separating_word(_tree_handle(om1, 4), _tree_handle(om2, 4), args.l_max)
+    two = find_separating_word(_tree_handle(om1, 2), _tree_handle(om2, 2), args.l_max)
     _emit_json(
         {
             "schema": SCHEMA,
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega")
     p.add_argument("--modulus", type=int, default=2)
     p.add_argument("--nmax", dest="n_max", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="validated but unused: the search is serial")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_growth)
 
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jmin", dest="j_min", type=int, default=1)
     p.add_argument("--jmax", dest="j_max", type=int, default=6)
     p.add_argument("--nmax", dest="n_max", type=int, default=4)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="validated but unused: the search is serial")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_converge)
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega1", required=True)
     p.add_argument("--omega2", required=True)
     p.add_argument("--lmax", dest="l_max", type=int, default=16)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="validated but unused: the search is serial")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_separate)
 

@@ -22,6 +22,10 @@ and recurse on the two level-1 sections, whose lengths drop below the parent's.
 This requires omega not eventually constant (the tree action is not faithful
 there); constant sequences are served by the wreath model in
 :mod:`markedgroups.lamplighter` via :func:`route_constant`.
+
+The same recursion gives every element an exact key (:class:`TreeKeys`):
+the interned triple (root parity, key of section 0, key of section 1), closed
+off by the minimized automaton of the generator states.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .words import gen_commutator, gen_conjugate, gen_inverse, klein_reduce
 
@@ -45,16 +51,14 @@ __all__ = [
     "root_parity",
     "sections",
     "is_trivial",
-    "Portrait",
-    "portrait_of",
+    "TreeKeys",
     "level_permutation",
+    "acts_trivially_to_depth",
     "order_of",
     "translate_L_word",
     "limit_trivial",
     "route_constant",
     "dead_letter_for",
-    "first_active_depth",
-    "fingerprint_depth",
 ]
 
 
@@ -253,65 +257,78 @@ def is_trivial(w: str, omega: OmegaWord) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Portraits and level permutations
+# Exact element keys
 
 
-@dataclass(frozen=True, slots=True)
-class Portrait:
-    """Root-swap decorations of every tree vertex of depth < depth.
+class TreeKeys:
+    """Exact integer keys for the elements of one G_omega: equal iff equal elements.
 
-    nodes maps a vertex (string over '01', including the empty root) to the
-    parity of the swap at that vertex. Equal portraits at sufficient depth
-    certify equal group elements; unequal portraits always separate.
+    An element is determined by its root parity and its two level-1
+    sections, so the key of a Klein-reduced word is the interned triple
+    (root parity, key of section 0, key of section 1) over the shifted omega.
+    Sections of a word of length n >= 2 are shorter than n, so the recursion
+    ends at words of length <= 1 at some shift of omega: e, a and the
+    generator states. omega is eventually periodic, so these states form a
+    finite automaton. It is minimized once by Moore partition refinement and
+    each class's triple is registered up front, so a long word equal to a
+    generator (or to e) resolves to that generator's key.
+
+    Keys compare only within one table, and a table serves one omega: make
+    one per handle and never share it across omegas. Lookups grow the table
+    without a lock, so use each table from one thread.
     """
 
-    depth: int
-    nodes: dict[str, int]
+    def __init__(self, omega: OmegaWord):
+        if omega.eventually_constant:
+            raise EventuallyConstantError(f"omega {omega} is eventually constant; tree keys need a faithful action")
+        n = len(omega.preperiod) + len(omega.period)
+        self._omegas = [omega]
+        for _ in range(n - 1):
+            self._omegas.append(self._omegas[-1].shift())
+        # shift index of omega.shift(): past the end, wrap to the period start
+        self._next = list(range(1, n)) + [len(omega.preperiod)]
 
-    def level_permutation(self, level: int | None = None) -> tuple[int, ...]:
-        """Permutation of the 2^level vertices, derived from the decorations.
+        # the automaton: state (word, shift) -> (parity, section states)
+        states = [(w, j) for j in range(n) for w in ("", "a", "b", "c", "d")]
+        succ = {}
+        for w, j in states:
+            w0, w1 = _scan_sections(w, self._omegas[j])
+            succ[w, j] = (root_parity(w), (w0, self._next[j]), (w1, self._next[j]))
+        # Moore refinement: split blocks by (parity, block of each section)
+        block = {s: succ[s][0] for s in states}
+        while True:
+            ids: dict[tuple[int, int, int], int] = {}
+            refined = {s: ids.setdefault((block[s], block[succ[s][1]], block[succ[s][2]]), len(ids)) for s in states}
+            stable = len(ids) == len(set(block.values()))
+            block = refined
+            if stable:
+                break
+        self._state = block
+        # one triple per class, since distinct classes are distinct elements
+        self._intern: dict[tuple[int, int, int], int] = {}
+        for s in states:
+            self._intern[succ[s][0], block[succ[s][1]], block[succ[s][2]]] = block[s]
+        self._memo: dict[tuple[str, int], int] = {}
 
-        Slow reference route, used to cross-check the vectorized one.
-        """
-        if level is None:
-            level = self.depth
-        if level > self.depth:
-            raise ValueError("level exceeds portrait depth")
-        out = []
-        for i in range(1 << level):
-            path = format(i, f"0{level}b") if level else ""
-            img = []
-            node = ""
-            for bit in path:
-                bit_val = int(bit) ^ self.nodes.get(node, 0)
-                img.append(str(bit_val))
-                node += bit
-            out.append(int("".join(img), 2) if img else 0)
-        return tuple(out)
+    def key(self, w: str) -> int:
+        """Key of a word over a, b, c, d; Klein-reduced first."""
+        return self._key(klein_reduce(w), 0)
+
+    def _key(self, w: str, j: int) -> int:
+        if len(w) <= 1:
+            return self._state[w, j]
+        k = self._memo.get((w, j))
+        if k is None:
+            w0, w1 = _scan_sections(w, self._omegas[j])
+            nj = self._next[j]
+            triple = (root_parity(w), self._key(klein_reduce(w0), nj), self._key(klein_reduce(w1), nj))
+            k = self._intern.setdefault(triple, len(self._intern))
+            self._memo[w, j] = k
+        return k
 
 
-def portrait_of(w: str, omega: OmegaWord, depth: int) -> Portrait:
-    """Portrait of a word down to the given depth, via the sections recursion.
-
-    Every vertex of depth < depth gets an explicit entry (zeros included), so
-    portraits of equal group elements compare equal as dataclasses. The scan
-    works for either parity: the section w0 always describes the subtree
-    hanging off source child 0, with the root swap recorded separately.
-    """
-    nodes: dict[str, int] = {}
-
-    def walk(word: str, om: OmegaWord, vertex: str) -> None:
-        if len(vertex) >= depth:
-            return
-        word = klein_reduce(word)
-        nodes[vertex] = root_parity(word)
-        w0, w1 = _scan_sections(word, om)
-        tau = om.shift()
-        walk(w0, tau, vertex + "0")
-        walk(w1, tau, vertex + "1")
-
-    walk(w, omega, "")
-    return Portrait(depth, nodes)
+# ---------------------------------------------------------------------------
+# Level permutations
 
 
 # Letter permutations of a tree level, cached per (letter, omega, depth).
@@ -321,6 +338,8 @@ _LETTER_PERM_CACHE: dict[tuple[str, OmegaWord, int], np.ndarray] = {}
 
 
 def _letter_perm(g: str, omega: OmegaWord, depth: int) -> np.ndarray:
+    import numpy as np
+
     key = (g, omega, depth)
     cached = _LETTER_PERM_CACHE.get(key)
     if cached is not None:
@@ -349,6 +368,8 @@ def level_permutation(w: str, omega: OmegaWord, depth: int) -> np.ndarray:
     Entry i is the image of vertex i; identical arrays at a separating depth
     certify equal elements, different arrays always certify distinct ones.
     """
+    import numpy as np
+
     size = 1 << depth
     cur = np.arange(size, dtype=np.int32)
     for g in w:
@@ -363,6 +384,8 @@ def acts_trivially_to_depth(w: str, omega: OmegaWord, depth: int) -> bool:
     Fixing the deepest level forces fixing all shallower ones, so a single
     level permutation suffices.
     """
+    import numpy as np
+
     perm = level_permutation(w, omega, depth)
     return bool(np.array_equal(perm, np.arange(1 << depth, dtype=np.int32)))
 
@@ -449,43 +472,3 @@ def route_constant(symbol: int) -> dict[str, str]:
     relabel[actives[0]] = "b"
     relabel[actives[1]] = "c"
     return relabel
-
-
-# ---------------------------------------------------------------------------
-# Fingerprint depth heuristic
-
-
-def first_active_depth(letter: str, omega: OmegaWord) -> int | None:
-    """First level (1-based) at which the letter's spin entry is a, or None.
-
-    None occurs only for the dead letter of an eventually constant sequence.
-    """
-    horizon = len(omega.preperiod) + 2 * len(omega.period)
-    for i in range(horizon):
-        if SPIN[letter][omega.at(i)] == "a":
-            return i + 1
-    return None
-
-
-def fingerprint_depth(omega: OmegaWord, max_len: int) -> int:
-    """Tree depth at which level permutations separate words of length <= max_len.
-
-    Heuristic: contraction halves word lengths per level (the log term), plus
-    the worst first-active depth of any generator over all shifts of omega
-    (the tail where a single surviving letter may still act trivially).
-    Callers confirm fingerprint matches with the exact oracle, so a too-small
-    depth is caught, never silently wrong.
-    """
-    if omega.eventually_constant:
-        raise EventuallyConstantError("fingerprints need a faithful tree action")
-    base = math.ceil(math.log2(max(max_len, 2))) + 1
-    shifts = len(omega.preperiod) + len(omega.period)
-    worst = 0
-    om = omega
-    for _ in range(shifts):
-        for letter in "bcd":
-            d = first_active_depth(letter, om)
-            assert d is not None
-            worst = max(worst, d)
-        om = om.shift()
-    return base + worst

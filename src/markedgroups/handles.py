@@ -1,19 +1,20 @@
 """Ready-made marked-group handles for the experiments.
 
-Each factory wires a triviality oracle and a fingerprinter into a
-MarkedGroupHandle. Tree groups fingerprint by their action on a level deep
-enough to separate everything in range (confirmed by the contraction oracle
-on every hit); the wreath models fingerprint by exact normal forms.
+Each factory wires a triviality oracle and an exact fingerprinter into a
+MarkedGroupHandle: equal fingerprints if and only if equal elements. Tree
+groups use interned section keys (:class:`~markedgroups.grigorchuk.TreeKeys`),
+with a fresh key table for every fingerprinter call, so a table never
+outlives one ball or lockstep side and never mixes two omegas; the wreath
+models and the free group use exact normal forms.
 """
 
 from __future__ import annotations
 
 from .grigorchuk import (
     OmegaWord,
+    TreeKeys,
     dead_letter_for,
-    fingerprint_depth,
     is_trivial,
-    level_permutation,
     parse_omega,
     translate_L_word,
 )
@@ -43,13 +44,8 @@ def grig_handle(omega: OmegaWord | str) -> MarkedGroupHandle:
         return is_trivial(gen_word_from_free(w), om)
 
     def fingerprinter(max_len: int) -> Fingerprint:
-        # quotients of two in-range words get twice the length budget
-        depth = fingerprint_depth(om, 2 * max_len)
-
-        def fp(w: FreeWord):
-            return level_permutation(gen_word_from_free(w), om, depth).tobytes()
-
-        return Fingerprint(fp, False)
+        keys = TreeKeys(om)
+        return Fingerprint(lambda w: keys.key(gen_word_from_free(w)), True)
 
     return make_handle(f"G_{om}", ("a", "b", "c", "d"), trivial, fingerprinter)
 
@@ -65,13 +61,8 @@ def l_subgroup_handle(omega: OmegaWord | str) -> MarkedGroupHandle:
         return is_trivial(to_tree(w), om)
 
     def fingerprinter(max_len: int) -> Fingerprint:
-        # one x/y letter becomes at most two tree letters, quotients double that
-        depth = fingerprint_depth(om, 4 * max_len)
-
-        def fp(w: FreeWord):
-            return level_permutation(to_tree(w), om, depth).tobytes()
-
-        return Fingerprint(fp, False)
+        keys = TreeKeys(om)
+        return Fingerprint(lambda w: keys.key(to_tree(w)), True)
 
     return make_handle(f"L_{om}", ("x", "y"), trivial, fingerprinter)
 

@@ -11,11 +11,13 @@ code below certifies.
 Ball construction is BFS over freely reduced words with two accelerators that
 do not affect answers: an involutive-generator hint (restricts candidates to
 the sublanguage where class-minimal representatives provably live) and
-fingerprints (element invariants that are cheap to compare). A fingerprint
-difference always certifies distinct elements. A fingerprint match is either
-exact-by-construction (normal forms) or confirmed through the oracle; a
-failed confirmation means the fingerprint depth heuristic was wrong, and the
-build aborts with :class:`FingerprintMismatch` rather than guess.
+fingerprints. A handle's ``fingerprinter`` returns an exact element key
+(equal keys if and only if equal elements), so classes are found by one dict
+lookup per candidate. A handle without one falls back to a single bucket in
+which the triviality oracle compares the candidate with every class. The
+``threads`` parameters are accepted for compatibility and ignored: a key
+lookup is interpreter work that a thread pool only slows down, and key tables
+must not be shared between threads.
 
 Comparison of two handles runs the same BFS on joint classes (equal in both
 groups). Two classes sharing one coordinate but not the other exhibit a word
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -38,7 +39,6 @@ __all__ = [
     "MarkedGroupHandle",
     "make_handle",
     "Fingerprint",
-    "FingerprintMismatch",
     "CayleyBall",
     "build_ball",
     "growth_sequence",
@@ -59,20 +59,12 @@ __all__ = [
 class Fingerprint:
     """Element invariant: map(word) equal for equal group elements.
 
-    ``exact`` means the invariant is a complete normal form (equality both
-    ways); otherwise a match still needs oracle confirmation.
+    ``exact`` means the invariant is a complete key (equality both ways);
+    otherwise every match is confirmed by the triviality oracle.
     """
 
     map: Callable[[FreeWord], Hashable]
     exact: bool
-
-
-class FingerprintMismatch(RuntimeError):
-    """Two distinct elements produced identical fingerprints.
-
-    Signals that a fingerprint depth heuristic chose too shallow a depth;
-    results so far are discarded rather than silently wrong.
-    """
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,7 +74,9 @@ class MarkedGroupHandle:
     ``involutive[i]`` promises trivial(g_i^2); it is asserted by
     :func:`make_handle`, and lets ball searches skip redundant inverse
     letters. ``fingerprinter(max_len)`` returns a Fingerprint valid for
-    words up to max_len, or None for the slow single-bucket path.
+    words up to max_len, or None for the slow single-bucket path. Each call
+    may return a fingerprint with its own state (a key table); a ball or a
+    lockstep side calls it once and uses the result from one thread.
     """
 
     label: str
@@ -136,27 +130,17 @@ def _candidate_letters(rep: FreeWord, directions: list[tuple[int, int]], invol: 
         yield (idx, sign)
 
 
-def _chunked_map(fn, items: list, threads: int):
-    """Order-preserving map, optionally on a thread pool."""
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 class _ClassTable:
     """Classes found so far for one side of a BFS: fingerprints plus buckets.
 
-    With a real (non-exact) fingerprinter the invariant is expected to be
-    complete for the words in play, so an oracle-refuted match is a depth bug
-    and aborts. Without a fingerprinter everything shares one bucket and the
-    oracle quietly does all the work.
+    With an exact fingerprint a bucket holds exactly the classes equal to
+    its key. Otherwise (no fingerprinter: everything shares one bucket) the
+    oracle confirms each class in the bucket.
     """
 
     def __init__(self, handle: MarkedGroupHandle, max_len: int):
         self.handle = handle
         fp = handle.fingerprinter(max_len) if handle.fingerprinter is not None else None
-        self.strict = fp is not None and not fp.exact
         self.fp = fp if fp is not None else Fingerprint(lambda w: 0, False)
         self.buckets: dict[Hashable, list[int]] = {}
         self.reps: list[FreeWord] = []
@@ -172,16 +156,7 @@ class _ClassTable:
             return []
         if self.fp.exact:
             return list(bucket)
-        out = []
-        for idx in bucket:
-            if self.handle.trivial(free_concat(w, self.reps[idx].inverse())):
-                out.append(idx)
-            elif self.strict:
-                raise FingerprintMismatch(
-                    f"{self.handle.label}: words {w} and {self.reps[idx]} share a "
-                    f"fingerprint but the oracle separates them; depth too shallow"
-                )
-        return out
+        return [idx for idx in bucket if self.handle.trivial(free_concat(w, self.reps[idx].inverse()))]
 
     def admit(self, w: FreeWord, fp_val: Hashable) -> int:
         idx = len(self.reps)
@@ -241,9 +216,9 @@ def build_ball(handle: MarkedGroupHandle, radius: int, threads: int = 1) -> Cayl
             rep = table.reps[rep_idx]
             for letter in _candidate_letters(rep, directions, handle.involutive):
                 candidates.append(FreeWord(rep.letters + (letter,), handle.k))
-        fps = _chunked_map(table.fingerprint, candidates, threads)
         next_layer: list[int] = []
-        for w, fp_val in zip(candidates, fps):
+        for w in candidates:
+            fp_val = table.fingerprint(w)
             matched = table.matches(w, fp_val)
             assert len(matched) <= 1, "distinct classes were jointly equal"
             if matched:
@@ -269,7 +244,7 @@ def build_ball(handle: MarkedGroupHandle, radius: int, threads: int = 1) -> Cayl
 
 def growth_sequence(handle: MarkedGroupHandle, n_max: int, threads: int = 1) -> list[int]:
     """gamma(0..n_max): element counts of the balls; nondecreasing."""
-    return list(build_ball(handle, n_max, threads).gamma)
+    return list(build_ball(handle, n_max).gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +274,7 @@ class _LockstepResult:
         return len(self.reps)
 
 
-def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int, threads: int = 1) -> _LockstepResult:
+def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> _LockstepResult:
     """Joint BFS certifying verdict agreement up to a word length.
 
     Processes candidate layers 1..M+1 where 2M+2 >= target_len; every pair of
@@ -325,18 +300,15 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int, thr
     best: _Conflict | None = None
     count = 0
 
-    def pair_fp(w: FreeWord):
-        return (t1.fingerprint(w), t2.fingerprint(w))
-
     for _ in range(max_len):
         candidates: list[FreeWord] = []
         for rep_idx in layer:
             rep = reps[rep_idx]
             for letter in _candidate_letters(rep, directions, invol_both):
                 candidates.append(FreeWord(rep.letters + (letter,), h1.k))
-        fps = _chunked_map(pair_fp, candidates, threads)
         next_layer: list[int] = []
-        for w, (fp1, fp2) in zip(candidates, fps):
+        for w in candidates:
+            fp1, fp2 = t1.fingerprint(w), t2.fingerprint(w)
             eq1 = t1.matches(w, fp1)
             eq2 = t2.matches(w, fp2)
             set1, set2 = set(eq1), set(eq2)
@@ -368,7 +340,7 @@ def relation_agreement(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: in
     triviality verdict from both handles."""
     if max_len == 0:
         return True
-    result = _lockstep(h1, h2, max_len, threads)
+    result = _lockstep(h1, h2, max_len)
     return result.conflict is None or result.conflict.total > max_len
 
 
@@ -402,7 +374,7 @@ def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int, threa
     """Largest N <= n_max such that all words of length <= 2N+1 agree."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    result = _lockstep(h1, h2, 2 * n_max + 2, threads)
+    result = _lockstep(h1, h2, 2 * n_max + 2)
     if result.conflict is None:
         return AgreeRadius(n_max, False)
     lam = result.conflict.total
@@ -423,7 +395,7 @@ def convergence_table(
     """agree_radius of each (prefix_len, handle) against the limit handle."""
     rows = []
     for index, (prefix_len, handle) in enumerate(targets):
-        r = agree_radius(handle, limit_handle, n_max, threads)
+        r = agree_radius(handle, limit_handle, n_max)
         rows.append({"index": index, "prefix_len": prefix_len, "agree_N": r.n, "exact": r.exact})
     return rows
 
@@ -536,7 +508,7 @@ def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
 
 def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int, threads: int = 1) -> SeparatorReport:
     """First word (enumeration order) trivial in exactly one group, length <= max_len."""
-    result = _lockstep(h1, h2, max_len, threads)
+    result = _lockstep(h1, h2, max_len)
     c = result.conflict
     if c is None or c.total > max_len:
         return SeparatorReport(None, None, None, None)

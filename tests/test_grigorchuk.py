@@ -8,21 +8,19 @@ from markedgroups.grigorchuk import (
     EventuallyConstantError,
     act,
     acts_trivially_to_depth,
+    TreeKeys,
     dead_letter_for,
-    fingerprint_depth,
-    first_active_depth,
     is_trivial,
     level_permutation,
     limit_trivial,
     order_of,
     parse_omega,
-    portrait_of,
     root_parity,
     route_constant,
     sections,
     translate_L_word,
 )
-from markedgroups.words import alternating_words, klein_reduce
+from markedgroups.words import alternating_words, gen_inverse, klein_reduce
 
 OM012 = parse_omega("(012)")
 OM021 = parse_omega("(021)")
@@ -180,18 +178,13 @@ def test_orders_are_powers_of_two():
         assert n is not None and n & (n - 1) == 0
 
 
-# -- portraits and level permutations ----------------------------------------
+# -- level permutations -------------------------------------------------------
 
 def test_level_permutation_matches_oracle():
     for w in ["", "a", "ab", "abad", "bcd"]:
         for depth in (1, 4, 7):
             perm = level_permutation(w, OM012, depth)
             assert list(perm) == oracles.oracle_word_perm(w, oracles.OMEGA_012, depth)
-
-
-def test_portrait_consistent_with_level_permutation():
-    p = portrait_of("abab", OM012, 5)
-    assert tuple(level_permutation("abab", OM012, 5)) == p.level_permutation(5)
 
 
 # -- limits and constant routing ----------------------------------------------
@@ -221,30 +214,46 @@ def test_route_constant_table():
         assert sorted(table.values()) == ["a", "b", "c", "d"]
 
 
-def test_first_active_depth():
-    assert first_active_depth("d", OM012) == 2  # 1-based; d is dead at symbol 0
-    assert first_active_depth("b", OM012) == 1
-    assert first_active_depth("d", parse_omega("(0)")) is None
+
+# -- exact element keys -------------------------------------------------------
+
+KEY_OMEGAS = ["(012)", "(021)", "0(012)", "2(01)"]
 
 
-def test_fingerprint_depth_bounds():
-    d8 = fingerprint_depth(OM012, 8)
-    d16 = fingerprint_depth(OM012, 16)
-    assert d8 <= d16
-    assert d8 >= 4
+@pytest.mark.parametrize("otext", KEY_OMEGAS)
+def test_tree_keys_match_word_problem_exhaustive(otext):
+    # every pair of Klein-reduced words of length <= 5: equal keys iff
+    # u v^-1 is trivial, and the independent oracle confirms each equal pair
+    om = parse_omega(otext)
+    keys = TreeKeys(om)
+    words = [""] + list(alternating_words(5))
+    by_key = {}
+    for w in words:
+        by_key.setdefault(keys.key(w), []).append(w)
+    for u in words:
+        ku = keys.key(u)
+        for v in words:
+            quotient = u + gen_inverse(v)
+            assert (ku == keys.key(v)) == is_trivial(quotient, om), (otext, u, v)
+    equal_pairs = [(u, v) for cls in by_key.values() for u in cls for v in cls if u != v]
+    assert equal_pairs, "the sweep should contain distinct words for one element"
+    for u, v in equal_pairs:
+        assert oracles.oracle_acts_trivially(u + gen_inverse(v), _oracle_omega(otext), 10), (otext, u, v)
+
+
+def test_tree_keys_long_word_equal_to_generator():
+    # (ad)^4 is a relator of G_(012) that Klein reduction does not see, so
+    # r.x reaches a generator only through the registered automaton classes
+    rel = "ad" * oracles.ORDER_AD_012
+    assert oracles.oracle_acts_trivially(rel, oracles.OMEGA_012, 10)
+    keys = TreeKeys(OM012)
+    assert keys.key(rel) == keys.key("")
+    for x in "abcd":
+        assert keys.key(rel + x) == keys.key(x)
+        assert keys.key(x + rel) == keys.key(x)
+    assert len({keys.key(x) for x in ["", "a", "b", "c", "d"]}) == 5
+
+
+def test_tree_keys_reject_eventually_constant():
     with pytest.raises(EventuallyConstantError):
-        fingerprint_depth(parse_omega("(0)"), 8)
-
-
-def test_fingerprint_depth_separates_up_to_len():
-    # within the promised range, equal fingerprints mean equal elements
-    depth = fingerprint_depth(OM012, 6)
-    seen = {}
-    for w in alternating_words(3):
-        key = level_permutation(w, OM012, depth).tobytes()
-        if key in seen:
-            other = seen[key]
-            from markedgroups.words import gen_inverse
-
-            assert is_trivial(w + gen_inverse(other), OM012)
-        seen[key] = w
+        TreeKeys(parse_omega("1(0)"))

@@ -16,9 +16,6 @@ from markedgroups.handles import (
     trivial_handle,
 )
 from markedgroups.marked_space import (
-    Fingerprint,
-    FingerprintMismatch,
-    MarkedGroupHandle,
     agree_radius,
     build_ball,
     convergence_table,
@@ -31,7 +28,15 @@ from markedgroups.marked_space import (
     write_convergence_csv,
     write_growth_csv,
 )
-from markedgroups.words import FreeWord, enumerate_reduced, gen_word_from_free, word_to_str
+from markedgroups.words import (
+    FreeWord,
+    alternating_words,
+    enumerate_reduced,
+    gen_inverse,
+    gen_word_from_free,
+    word_from_str,
+    word_to_str,
+)
 
 FREE2 = free_handle(2)
 FREE4 = free_handle(4, ("a", "b", "c", "d"))
@@ -119,25 +124,30 @@ def test_ball_determinism_across_threads():
     assert a == b
 
 
-# -- fingerprint safety net ---------------------------------------------------
+# -- element keys -------------------------------------------------------------
 
-def test_shallow_fingerprint_aborts():
-    om = parse_omega("(012)")
-    from markedgroups.grigorchuk import level_permutation
-
-    def bad_fingerprinter(max_len):
-        return Fingerprint(
-            lambda w: level_permutation(gen_word_from_free(w), om, 1).tobytes(), False
-        )
-
-    bad = MarkedGroupHandle(
-        "bad", 4, ("a", "b", "c", "d"),
-        lambda w: is_trivial(gen_word_from_free(w), om),
-        (True, True, True, True),
-        bad_fingerprinter,
-    )
-    with pytest.raises(FingerprintMismatch):
-        build_ball(bad, 2)
+def test_tree_handle_keys_interleaved_omegas():
+    # each fingerprinter call owns its key table: two omegas looked up in
+    # turn in one process must each still agree with the oracles
+    names = ("a", "b", "c", "d")
+    words = [""] + list(alternating_words(4))
+    sides = {}
+    for otext in ("(012)", "2(01)"):
+        om = parse_omega(otext)
+        sides[otext] = (om, grig_handle(om).fingerprinter(4), {})
+    for w in words:
+        for om, fp, keys in sides.values():
+            keys[w] = fp.map(word_from_str(w, names))
+    for otext, (om, fp, keys) in sides.items():
+        assert fp.exact
+        oracle_om = (tuple(om.preperiod), tuple(om.period))
+        for u in words:
+            for v in words:
+                quotient = u + gen_inverse(v)
+                same = keys[u] == keys[v]
+                assert same == is_trivial(quotient, om), (otext, u, v)
+                if same:
+                    assert oracles.oracle_acts_trivially(quotient, oracle_om, 10), (otext, u, v)
 
 
 def test_no_fingerprint_single_bucket_still_correct():
