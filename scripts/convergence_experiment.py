@@ -19,7 +19,6 @@ def main() -> None:
     ap.add_argument("--jmin", type=int, default=0)
     ap.add_argument("--jmax", type=int, default=6)
     ap.add_argument("--nmax", type=int, default=8)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/convergence.csv")
     args = ap.parse_args()
 
@@ -28,7 +27,7 @@ def main() -> None:
         (j, l_subgroup_handle("0" * j + "(012)"))
         for j in range(args.jmin, args.jmax + 1)
     ]
-    rows = convergence_table(targets, limit, args.nmax, threads=args.threads)
+    rows = convergence_table(targets, limit, args.nmax)
 
     path = pathlib.Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,6 @@ def main() -> None:
     ap.add_argument("--omega", default="(012)")
     ap.add_argument("--tree-nmax", type=int, default=6)
     ap.add_argument("--model-nmax", type=int, default=8)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
 
@@ -30,7 +29,7 @@ def main() -> None:
         ("growth_lamp.csv", lamplighter_handle(2), args.model_nmax),
     ]
     for name, handle, nmax in jobs:
-        gamma = growth_sequence(handle, nmax, threads=args.threads)
+        gamma = growth_sequence(handle, nmax)
         path = outdir / name
         with open(path, "w", newline="") as fh:
             write_growth_csv(gamma, fh)

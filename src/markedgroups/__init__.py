@@ -64,7 +64,6 @@ from .lamplighter import (
 from .marked_space import (
     AgreeRadius,
     CayleyBall,
-    Fingerprint,
     MarkedGroupHandle,
     SeparatorReport,
     agree_radius,

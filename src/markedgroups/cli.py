@@ -77,7 +77,7 @@ class RunConfig:
             if value > cap:
                 raise ValueError(f"{name}={value} exceeds the safety cap {cap}")
         if not 1 <= self.threads <= CAP_THREADS:
-            raise ValueError(f"threads={self.threads} exceeds the safety cap {CAP_THREADS}")
+            raise ValueError(f"threads={self.threads} is outside 1..{CAP_THREADS} (the safety cap is {CAP_THREADS})")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

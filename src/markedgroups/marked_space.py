@@ -1,44 +1,43 @@
 """Desk-scale geometry of the space of marked groups.
 
 A marked group is a pair (G, S) of a group with an ordered generating tuple;
-here it is represented by a :class:`MarkedGroupHandle` carrying a triviality
-oracle FreeWord -> bool. Distance between two marked groups with the same
-generator count is 2^{-N} where N is the largest radius at which the Cayley
-balls agree; ball-N agreement is equivalent to both groups deciding every
-freely reduced word of length <= 2N+1 the same way, which is the contract the
-code below certifies.
+here it is represented by a :class:`MarkedGroupHandle`. Distance between two
+marked groups with the same generator count is 2^{-N} where N is the largest
+radius at which the Cayley balls agree; ball-N agreement is equivalent to both
+groups deciding every freely reduced word of length <= 2N+1 the same way,
+which is the contract the code below certifies.
 
-Ball construction is BFS over freely reduced words with two accelerators that
-do not affect answers: an involutive-generator hint (restricts candidates to
-the sublanguage where class-minimal representatives provably live) and
-fingerprints. A handle's ``fingerprinter`` returns an exact element key
-(equal keys if and only if equal elements), so classes are found by one dict
-lookup per candidate. A handle without one falls back to a single bucket in
-which the triviality oracle compares the candidate with every class. The
-``threads`` parameters are accepted for compatibility and ignored: a key
-lookup is interpreter work that a thread pool only slows down, and key tables
-must not be shared between threads.
+A handle answers in two independent ways. Its triviality oracle
+FreeWord -> bool is the specification of record (exhaustive agreement,
+relation sets, the involutive flags). Its element protocol drives the
+searches: ``identity``, ``mul(elem, letter)`` for a letter (index, sign), and
+``key(elem)``, an exact key (equal keys if and only if equal elements).
+
+Ball construction is BFS over freely reduced words in which every class keeps
+one element, so a candidate costs one multiplication and one dict lookup. An
+involutive-generator hint restricts candidates to the sublanguage where
+class-minimal representatives provably live; it does not affect answers.
 
 Comparison of two handles runs the same BFS on joint classes (equal in both
-groups). Two classes sharing one coordinate but not the other exhibit a word
-trivial in exactly one group; the minimal such total length lambda pins the
-agreement radius exactly: verdicts agree on all words of length < lambda and
-disagree at lambda.
+groups), with each candidate multiplied out from the identity. Two classes
+sharing one coordinate but not the other exhibit a word trivial in exactly
+one group; the minimal such total length lambda pins the agreement radius
+exactly: verdicts agree on all words of length < lambda and disagree at
+lambda.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .words import FreeWord, empty_word, enumerate_reduced, free_concat, is_square
+from .words import FreeWord, empty_word, enumerate_reduced, is_square
 
 __all__ = [
     "MarkedGroupHandle",
     "make_handle",
-    "Fingerprint",
     "CayleyBall",
     "build_ball",
     "growth_sequence",
@@ -54,29 +53,19 @@ __all__ = [
     "write_convergence_csv",
 ]
 
-
-@dataclass(frozen=True, slots=True)
-class Fingerprint:
-    """Element invariant: map(word) equal for equal group elements.
-
-    ``exact`` means the invariant is a complete key (equality both ways);
-    otherwise every match is confirmed by the triviality oracle.
-    """
-
-    map: Callable[[FreeWord], Hashable]
-    exact: bool
+Letter = tuple[int, int]  # (generator index, sign)
 
 
 @dataclass(frozen=True, slots=True)
 class MarkedGroupHandle:
-    """A marked group: label, generator count, triviality oracle, hints.
+    """A marked group: label, generator count, triviality oracle, element protocol.
 
-    ``involutive[i]`` promises trivial(g_i^2); it is asserted by
+    ``involutive[i]`` promises trivial(g_i^2); it is measured by
     :func:`make_handle`, and lets ball searches skip redundant inverse
-    letters. ``fingerprinter(max_len)`` returns a Fingerprint valid for
-    words up to max_len, or None for the slow single-bucket path. Each call
-    may return a fingerprint with its own state (a key table); a ball or a
-    lockstep side calls it once and uses the result from one thread.
+    letters. ``mul(elem, (i, sign))`` is elem . g_i^sign, starting from
+    ``identity``; ``key(elem)`` is hashable and equal for two elements exactly
+    when they are equal in the group. Keys may come from a table that grows
+    on lookup without a lock, so use a handle from one thread.
     """
 
     label: str
@@ -84,98 +73,91 @@ class MarkedGroupHandle:
     gen_names: tuple[str, ...]
     trivial: Callable[[FreeWord], bool]
     involutive: tuple[bool, ...]
-    fingerprinter: Callable[[int], Fingerprint] | None = None
+    identity: Any
+    mul: Callable[[Any, Letter], Any]
+    key: Callable[[Any], Hashable]
 
 
 def make_handle(
     label: str,
     gen_names: Sequence[str],
     trivial: Callable[[FreeWord], bool],
-    fingerprinter: Callable[[int], Fingerprint] | None = None,
+    identity: Any,
+    mul: Callable[[Any, Letter], Any],
+    key: Callable[[Any], Hashable],
 ) -> MarkedGroupHandle:
-    """Build a handle, measuring the involutive flags instead of trusting them."""
+    """Build a handle, measuring the involutive flags instead of trusting them.
+
+    The flags come from the oracle; the element protocol must agree with it
+    on every generator square, since ball searches prune by the flags.
+    """
     k = len(gen_names)
     assert trivial(empty_word(k)), "oracle must accept the empty word"
-    flags = []
-    for i in range(k):
-        square = FreeWord(((i, 1), (i, 1)), k)
-        flags.append(bool(trivial(square)))
-    return MarkedGroupHandle(label, k, tuple(gen_names), trivial, tuple(flags), fingerprinter)
+    flags = tuple(bool(trivial(FreeWord(((i, 1), (i, 1)), k))) for i in range(k))
+    for i, flag in enumerate(flags):
+        square = mul(mul(identity, (i, 1)), (i, 1))
+        assert (key(square) == key(identity)) == flag, f"element protocol disagrees with the oracle on g{i}^2"
+    return MarkedGroupHandle(label, k, tuple(gen_names), trivial, flags, identity, mul, key)
 
 
 # ---------------------------------------------------------------------------
 # Shared BFS plumbing
 
 
-def _directions(k: int) -> list[tuple[int, int]]:
+def _directions(k: int) -> list[Letter]:
     return [(i, s) for i in range(k) for s in (1, -1)]
 
 
-def _candidate_letters(rep: FreeWord, directions: list[tuple[int, int]], invol: tuple[bool, ...]) -> Iterable[tuple[int, int]]:
+def _candidate_letters(letters: Sequence[Letter], directions: list[Letter], invol: tuple[bool, ...]) -> Iterable[Letter]:
     """Extensions of a representative that can still be class-minimal.
 
     Skips free cancellation always; for involutive generators also skips the
     inverse letter (g^{-1} = g in the group, and the positive letter sorts
     first) and the immediate repeat (gg = e).
     """
-    last = rep.letters[-1] if rep.letters else None
+    last = letters[-1] if letters else None
     for idx, sign in directions:
         if invol[idx] and sign == -1:
             continue
-        if last is not None:
-            if last == (idx, -sign):
-                continue
-            if invol[idx] and last == (idx, sign):
-                continue
+        if last == (idx, -sign) or (invol[idx] and last == (idx, sign)):
+            continue
         yield (idx, sign)
 
 
 class _ClassTable:
-    """Classes found so far for one side of a BFS: fingerprints plus buckets.
+    """Classes found so far for one side of a BFS: one element per class,
+    and for each element key the indices of the classes that have it.
 
-    With an exact fingerprint a bucket holds exactly the classes equal to
-    its key. Otherwise (no fingerprinter: everything shares one bucket) the
-    oracle confirms each class in the bucket.
+    In a single-group ball every key names one class. In a lockstep table two
+    joint classes may share a key on one side; that is what a conflict is.
     """
 
-    def __init__(self, handle: MarkedGroupHandle, max_len: int):
+    def __init__(self, handle: MarkedGroupHandle):
         self.handle = handle
-        fp = handle.fingerprinter(max_len) if handle.fingerprinter is not None else None
-        self.fp = fp if fp is not None else Fingerprint(lambda w: 0, False)
+        self.elems: list[Any] = []
+        self.keys: list[Hashable] = []
         self.buckets: dict[Hashable, list[int]] = {}
-        self.reps: list[FreeWord] = []
-        self.fp_vals: list[Hashable] = []
+        self.admit(handle.identity, handle.key(handle.identity))
 
-    def fingerprint(self, w: FreeWord) -> Hashable:
-        return self.fp.map(w)
+    def admit(self, elem: Any, key: Hashable) -> None:
+        self.buckets.setdefault(key, []).append(len(self.elems))
+        self.elems.append(elem)
+        self.keys.append(key)
 
-    def matches(self, w: FreeWord, fp_val: Hashable) -> list[int]:
-        """Indices of classes equal to w in this group. Exact."""
-        bucket = self.buckets.get(fp_val)
-        if not bucket:
-            return []
-        if self.fp.exact:
-            return list(bucket)
-        return [idx for idx in bucket if self.handle.trivial(free_concat(w, self.reps[idx].inverse()))]
+    def element(self, w: FreeWord) -> Any:
+        """The element of w, multiplied out letter by letter from the identity."""
+        elem = self.handle.identity
+        for letter in w.letters:
+            elem = self.handle.mul(elem, letter)
+        return elem
 
-    def admit(self, w: FreeWord, fp_val: Hashable) -> int:
-        idx = len(self.reps)
-        self.reps.append(w)
-        self.fp_vals.append(fp_val)
-        self.buckets.setdefault(fp_val, []).append(idx)
-        return idx
+    def lookup(self, w: FreeWord) -> list[int]:
+        """Indices of the classes equal to w in this group."""
+        return self.buckets.get(self.handle.key(self.element(w)), [])
 
     def group_ids(self) -> list[int]:
-        """For each class, the least class index equal to it in this group.
-
-        In a single-group table this is the identity map; in a lockstep table
-        two joint classes may coincide on one side (that is what a conflict
-        is), and this partition names the side's true elements.
-        """
-        ids = []
-        for idx, rep in enumerate(self.reps):
-            ids.append(min(self.matches(rep, self.fp_vals[idx])))
-        return ids
+        """For each class, the least class index equal to it in this group."""
+        return [self.buckets[key][0] for key in self.keys]
 
 
 # ---------------------------------------------------------------------------
@@ -199,50 +181,41 @@ class CayleyBall:
     gamma: tuple[int, ...]
 
 
-def build_ball(handle: MarkedGroupHandle, radius: int, threads: int = 1) -> CayleyBall:
+def build_ball(handle: MarkedGroupHandle, radius: int) -> CayleyBall:
     """Deterministic BFS ball of the marked group."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    table = _ClassTable(handle, radius + 1)
+    mul, key = handle.mul, handle.key
+    table = _ClassTable(handle)
+    reps = [empty_word(handle.k)]
     directions = _directions(handle.k)
-
-    ident = empty_word(handle.k)
-    table.admit(ident, table.fingerprint(ident))
     layer = [0]
     gamma = [1]
     for _ in range(radius):
-        candidates: list[FreeWord] = []
-        for rep_idx in layer:
-            rep = table.reps[rep_idx]
-            for letter in _candidate_letters(rep, directions, handle.involutive):
-                candidates.append(FreeWord(rep.letters + (letter,), handle.k))
         next_layer: list[int] = []
-        for w in candidates:
-            fp_val = table.fingerprint(w)
-            matched = table.matches(w, fp_val)
-            assert len(matched) <= 1, "distinct classes were jointly equal"
-            if matched:
-                continue
-            next_layer.append(table.admit(w, fp_val))
+        for i in layer:
+            rep, elem = reps[i], table.elems[i]
+            for letter in _candidate_letters(rep.letters, directions, handle.involutive):
+                cand = mul(elem, letter)
+                cand_key = key(cand)
+                if cand_key not in table.buckets:
+                    next_layer.append(len(reps))
+                    table.admit(cand, cand_key)
+                    reps.append(FreeWord(rep.letters + (letter,), handle.k))
         layer = next_layer
-        gamma.append(len(table.reps))
+        gamma.append(len(reps))
 
     # edges, including boundary identification one step past the radius
     edges: dict[tuple[int, int], int] = {}
-    for i, rep in enumerate(table.reps):
-        for d, (idx, sign) in enumerate(directions):
-            if rep.letters and rep.letters[-1] == (idx, -sign):
-                target = FreeWord(rep.letters[:-1], handle.k)
-            else:
-                target = FreeWord(rep.letters + ((idx, sign),), handle.k)
-            fp_val = table.fingerprint(target)
-            matched = table.matches(target, fp_val)
-            if matched:
-                edges[(i, d)] = matched[0]
-    return CayleyBall(radius, tuple(table.reps), edges, tuple(gamma))
+    for i, elem in enumerate(table.elems):
+        for d, letter in enumerate(directions):
+            bucket = table.buckets.get(key(mul(elem, letter)))
+            if bucket:
+                edges[(i, d)] = bucket[0]
+    return CayleyBall(radius, tuple(reps), edges, tuple(gamma))
 
 
-def growth_sequence(handle: MarkedGroupHandle, n_max: int, threads: int = 1) -> list[int]:
+def growth_sequence(handle: MarkedGroupHandle, n_max: int) -> list[int]:
     """gamma(0..n_max): element counts of the balls; nondecreasing."""
     return list(build_ball(handle, n_max).gamma)
 
@@ -286,56 +259,48 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
     steps = max(0, -(-target_len // 2) - 1)  # ceil(target/2) - 1
-    max_len = steps + 1
-    t1 = _ClassTable(h1, max_len)
-    t2 = _ClassTable(h2, max_len)
+    t1, t2 = _ClassTable(h1), _ClassTable(h2)
     directions = _directions(h1.k)
     invol_both = tuple(a and b for a, b in zip(h1.involutive, h2.involutive))
 
-    ident = empty_word(h1.k)
-    t1.admit(ident, t1.fingerprint(ident))
-    t2.admit(ident, t2.fingerprint(ident))
-    reps: list[FreeWord] = [ident]
+    reps = [empty_word(h1.k)]
     layer = [0]
     best: _Conflict | None = None
     count = 0
 
-    for _ in range(max_len):
-        candidates: list[FreeWord] = []
-        for rep_idx in layer:
-            rep = reps[rep_idx]
-            for letter in _candidate_letters(rep, directions, invol_both):
-                candidates.append(FreeWord(rep.letters + (letter,), h1.k))
+    for _ in range(steps + 1):
         next_layer: list[int] = []
-        for w in candidates:
-            fp1, fp2 = t1.fingerprint(w), t2.fingerprint(w)
-            eq1 = t1.matches(w, fp1)
-            eq2 = t2.matches(w, fp2)
-            set1, set2 = set(eq1), set(eq2)
-            for idx in sorted(set1 ^ set2):
-                count += 1
-                conflict = _Conflict(
-                    total=len(w) + len(reps[idx]),
-                    word=w,
-                    other=reps[idx],
-                    trivial_in=0 if idx in set1 else 1,
-                )
-                if best is None or conflict.total < best.total:
-                    best = conflict
-            same = set1 & set2
-            assert len(same) <= 1, "distinct joint classes were equal in both groups"
-            if same:
-                continue
-            t1.admit(w, fp1)
-            t2.admit(w, fp2)
-            reps.append(w)
-            next_layer.append(len(reps) - 1)
+        for i in layer:
+            rep = reps[i]
+            for letter in _candidate_letters(rep.letters, directions, invol_both):
+                w = FreeWord(rep.letters + (letter,), h1.k)
+                # Multiplied out from the identity, not from the class of rep:
+                # one multiplication per candidate gives the same answers and
+                # a 2.3x faster `converge`, but a perfbench converge pass then
+                # ends before its first 0.25 s calibration tick and the
+                # benchmark cannot time it (ROADMAP item 3).
+                c1, c2 = t1.element(w), t2.element(w)
+                k1, k2 = h1.key(c1), h2.key(c2)
+                eq1, eq2 = set(t1.buckets.get(k1, ())), set(t2.buckets.get(k2, ()))
+                for idx in sorted(eq1 ^ eq2):
+                    count += 1
+                    total = len(w) + len(reps[idx])
+                    if best is None or total < best.total:
+                        best = _Conflict(total, w, reps[idx], 0 if idx in eq1 else 1)
+                same = eq1 & eq2
+                assert len(same) <= 1, "distinct joint classes were equal in both groups"
+                if same:
+                    continue
+                t1.admit(c1, k1)
+                t2.admit(c2, k2)
+                next_layer.append(len(reps))
+                reps.append(w)
         layer = next_layer
 
     return _LockstepResult(2 * steps + 2, best, count, reps, t1, t2, invol_both)
 
 
-def relation_agreement(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int, threads: int = 1) -> bool:
+def relation_agreement(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> bool:
     """True iff every freely reduced word of length <= max_len gets the same
     triviality verdict from both handles."""
     if max_len == 0:
@@ -370,7 +335,7 @@ class AgreeRadius:
         return f"2^-{self.n}" if self.exact else f"<= 2^-{self.n}"
 
 
-def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int, threads: int = 1) -> AgreeRadius:
+def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int) -> AgreeRadius:
     """Largest N <= n_max such that all words of length <= 2N+1 agree."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -390,7 +355,6 @@ def convergence_table(
     targets: Sequence[tuple[int, MarkedGroupHandle]],
     limit_handle: MarkedGroupHandle,
     n_max: int,
-    threads: int = 1,
 ) -> list[dict]:
     """agree_radius of each (prefix_len, handle) against the limit handle."""
     rows = []
@@ -420,22 +384,14 @@ def _restricted_words(k: int, length: int, invol: tuple[bool, ...]):
     """All reduced words of a given length avoiding inverse letters and
     repeats of involutive generators, in enumeration (lex) order."""
     directions = _directions(k)
-    word: list[tuple[int, int]] = []
+    word: list[Letter] = []
 
     def rec():
         if len(word) == length:
             yield FreeWord(tuple(word), k)
             return
-        last = word[-1] if word else None
-        for idx, sign in directions:
-            if invol[idx] and sign == -1:
-                continue
-            if last is not None:
-                if last == (idx, -sign):
-                    continue
-                if invol[idx] and last == (idx, sign):
-                    continue
-            word.append((idx, sign))
+        for letter in _candidate_letters(word, directions, invol):
+            word.append(letter)
             yield from rec()
             word.pop()
 
@@ -444,9 +400,7 @@ def _restricted_words(k: int, length: int, invol: tuple[bool, ...]):
 
 def _locate(res: _LockstepResult, w: FreeWord) -> int:
     """Joint class index of an arbitrary word within the lockstep horizon."""
-    m1 = res.t1.matches(w, res.t1.fingerprint(w))
-    m2 = res.t2.matches(w, res.t2.fingerprint(w))
-    both = set(m1) & set(m2)
+    both = set(res.t1.lookup(w)) & set(res.t2.lookup(w))
     assert len(both) == 1, f"word {w} not covered by the lockstep tables"
     return both.pop()
 
@@ -506,8 +460,10 @@ def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
     raise AssertionError(f"lockstep reported a conflict at total {lam} but no separator was reconstructed")
 
 
-def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int, threads: int = 1) -> SeparatorReport:
+def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> SeparatorReport:
     """First word (enumeration order) trivial in exactly one group, length <= max_len."""
+    if max_len == 0:
+        return SeparatorReport(None, None, None, None)
     result = _lockstep(h1, h2, max_len)
     c = result.conflict
     if c is None or c.total > max_len:

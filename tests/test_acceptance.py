@@ -224,7 +224,7 @@ def test_criterion_08_separating_words(tmp_path):
             assert four is not None, (om1, om2)
             word = four["word"]
             # verify the separation through direct oracle evaluation,
-            # independent of the fingerprint-guided search that found it
+            # independent of the key-guided search that found it
             verdicts = []
             for text in (om1, om2):
                 om = parse_omega(text)

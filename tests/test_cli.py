@@ -152,6 +152,16 @@ def test_separate_cap(capsys):
     assert code == EXIT_USAGE and "cap" in err
 
 
+def test_separate_lmax_zero(capsys):
+    # only the empty word has length 0, and it is trivial in every group
+    code, out, _ = run(
+        capsys, "separate", "--omega1", "(012)", "--omega2", "(021)", "--lmax", "0"
+    )
+    assert code == EXIT_OK
+    rep = json.loads(out)
+    assert rep["four_generator"] is None and rep["two_generator"] is None
+
+
 def test_separate_deterministic(capsys):
     args = ("separate", "--omega1", "(012)", "--omega2", "(021)", "--lmax", "12")
     _, out1, _ = run(capsys, *args)
@@ -230,10 +240,11 @@ def test_unknown_subcommand_exits_2(capsys):
 
 
 def test_thread_cap(capsys):
-    code, _, err = run(
-        capsys, "growth", "--family", "lamp", "--nmax", "2", "--threads", "17"
-    )
-    assert code == EXIT_USAGE and "cap" in err
+    for threads in ("17", "0"):
+        code, _, err = run(
+            capsys, "growth", "--family", "lamp", "--nmax", "2", "--threads", threads
+        )
+        assert code == EXIT_USAGE and "cap" in err and "1..16" in err
 
 
 def test_cli_import_does_not_load_numpy():

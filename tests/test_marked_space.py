@@ -5,8 +5,10 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import markedgroups.handles as handles_module
+import markedgroups.lamplighter as lamplighter_module
 import oracles
-from markedgroups.grigorchuk import is_trivial, parse_omega
+from markedgroups.grigorchuk import parse_omega
 from markedgroups.handles import (
     ext_model_handle,
     free_handle,
@@ -32,9 +34,10 @@ from markedgroups.words import (
     FreeWord,
     alternating_words,
     enumerate_reduced,
+    free_concat,
     gen_inverse,
     gen_word_from_free,
-    word_from_str,
+    klein_reduce,
     word_to_str,
 )
 
@@ -58,8 +61,21 @@ def test_involutive_flags_measured():
 
 
 def test_make_handle_measures_not_trusts():
-    h = make_handle("z2", ("g",), lambda w: sum(s for _, s in w.letters) % 2 == 0)
+    h = make_handle(
+        "z2", ("g",), lambda w: sum(s for _, s in w.letters) % 2 == 0,
+        0, lambda e, letter: (e + letter[1]) % 2, lambda e: e,
+    )
     assert h.involutive == (True,)
+
+
+def test_make_handle_rejects_protocol_disagreeing_with_oracle():
+    # Z_3 elements under a Z_2 oracle: the generator square is trivial for
+    # the oracle but not for the keys, so ball pruning would be unsound
+    with pytest.raises(AssertionError, match="protocol"):
+        make_handle(
+            "bad", ("g",), lambda w: sum(s for _, s in w.letters) % 2 == 0,
+            0, lambda e, letter: (e + letter[1]) % 3, lambda e: e,
+        )
 
 
 # -- balls and growth ---------------------------------------------------------
@@ -118,44 +134,79 @@ def test_ball_edges_wrap_for_relations():
     assert ball.elements[0] == FreeWord((), 2)
 
 
-def test_ball_determinism_across_threads():
-    a = build_ball(G012, 3, threads=1)
-    b = build_ball(G012, 3, threads=2)
-    assert a == b
+def test_ball_deterministic():
+    # the second call reuses the handle's grown key table
+    assert build_ball(G012, 3) == build_ball(G012, 3)
+    assert build_ball(grig_handle("(012)"), 3) == build_ball(G012, 3)
 
 
-# -- element keys -------------------------------------------------------------
+def test_lamp_ball_never_reevaluates_words(monkeypatch):
+    # growing a word by one letter costs one multiplication: no candidate or
+    # edge is evaluated from scratch
+    handle = lamplighter_handle(2)
 
-def test_tree_handle_keys_interleaved_omegas():
-    # each fingerprinter call owns its key table: two omegas looked up in
-    # turn in one process must each still agree with the oracles
-    names = ("a", "b", "c", "d")
-    words = [""] + list(alternating_words(4))
-    sides = {}
-    for otext in ("(012)", "2(01)"):
-        om = parse_omega(otext)
-        sides[otext] = (om, grig_handle(om).fingerprinter(4), {})
-    for w in words:
-        for om, fp, keys in sides.values():
-            keys[w] = fp.map(word_from_str(w, names))
-    for otext, (om, fp, keys) in sides.items():
-        assert fp.exact
-        oracle_om = (tuple(om.preperiod), tuple(om.period))
-        for u in words:
-            for v in words:
-                quotient = u + gen_inverse(v)
-                same = keys[u] == keys[v]
-                assert same == is_trivial(quotient, om), (otext, u, v)
-                if same:
-                    assert oracles.oracle_acts_trivially(quotient, oracle_om, 10), (otext, u, v)
+    def whole_word(*args, **kwargs):
+        raise AssertionError("eval_st_word called during the BFS")
+
+    monkeypatch.setattr(lamplighter_module, "eval_st_word", whole_word)
+    monkeypatch.setattr(handles_module, "eval_st_word", whole_word)
+    gamma = growth_sequence(handle, 8)
+    assert gamma[: len(oracles.GAMMA_LAMP)] == list(oracles.GAMMA_LAMP)
 
 
-def test_no_fingerprint_single_bucket_still_correct():
-    om = parse_omega("(012)")
-    plain = make_handle(
-        "plain", ("a", "b", "c", "d"), lambda w: is_trivial(gen_word_from_free(w), om)
-    )
-    assert growth_sequence(plain, 2) == list(oracles.GAMMA_G012)
+# -- element protocol ---------------------------------------------------------
+
+def _element(handle, w):
+    elem = handle.identity
+    for letter in w.letters:
+        elem = handle.mul(elem, letter)
+    return elem
+
+
+def test_handle_protocol_matches_oracle():
+    # for every factory, equal keys iff the oracle kills u v^-1; the handles
+    # are evaluated word by word in turn, so the key tables of two omegas
+    # are interleaved in one process
+    tree_omegas = {"G_(012)": "(012)", "G_2(01)": "2(01)"}
+    handles = [
+        free_handle(2),
+        trivial_handle(2),
+        lamplighter_handle(2),
+        lamplighter_handle(3),
+        ext_model_handle(0),
+        ext_model_handle(1),
+        ext_model_handle(2),
+        grig_handle("(012)"),
+        grig_handle("2(01)"),
+        l_subgroup_handle("(012)"),
+    ]
+    words = {2: list(enumerate_reduced(2, 3)), 4: list(enumerate_reduced(4, 2))}
+    keys = [{} for _ in handles]
+    for position in range(max(len(ws) for ws in words.values())):
+        for h, ks in zip(handles, keys):
+            if position < len(words[h.k]):
+                w = words[h.k][position]
+                ks[w] = h.key(_element(h, w))
+    for h, ks in zip(handles, keys):
+        for u in words[h.k]:
+            for v in words[h.k]:
+                quotient = free_concat(u, v.inverse())
+                same = ks[u] == ks[v]
+                assert same == h.trivial(quotient), (h.label, u, v)
+                if same and h.label in tree_omegas:
+                    om = parse_omega(tree_omegas[h.label])
+                    oracle_om = (tuple(om.preperiod), tuple(om.period))
+                    assert oracles.oracle_acts_trivially(gen_word_from_free(quotient), oracle_om, 10), (h.label, u, v)
+
+
+def test_tree_mul_matches_full_reduction():
+    # mul re-reduces only the tail of the stored string; it must agree with
+    # reducing the whole concatenation, for elements longer than the image
+    for h, images in ((G012, "abcd"), (L012, ("d", "ab"))):
+        for elem in [""] + list(alternating_words(6)):
+            for i, img in enumerate(images):
+                for sign, text in ((1, img), (-1, gen_inverse(img))):
+                    assert h.mul(elem, (i, sign)) == klein_reduce(elem + text), (h.label, elem, i, sign)
 
 
 # -- relation agreement: fast path vs exhaustive ------------------------------
@@ -271,12 +322,8 @@ def test_separator_012_vs_021_frozen():
 def test_separator_absent_within_bound():
     rep = find_separating_word(G012, G021, 8)
     assert rep == type(rep)(None, None, None, None)
-
-
-def test_separator_deterministic_across_threads():
-    a = find_separating_word(G012, G021, 16, threads=1)
-    b = find_separating_word(G012, G021, 16, threads=2)
-    assert a == b
+    # length 0: only the empty word, trivial everywhere
+    assert find_separating_word(G012, G021, 0) == rep
 
 
 # -- csv surfaces -------------------------------------------------------------
