@@ -17,7 +17,6 @@ from .words import (
     enumerate_reduced,
     free_ball_count,
     free_concat,
-    free_inverse,
     free_reduce,
     gen_commutator,
     gen_conjugate,
@@ -32,10 +31,8 @@ from .grigorchuk import (
     OmegaWord,
     TreeKeys,
     act,
-    acts_trivially_to_depth,
     generator_action,
     is_trivial,
-    level_permutation,
     limit_trivial,
     order_of,
     parse_omega,

@@ -20,10 +20,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Callable
 
 __all__ = [
     "SSpec",
@@ -377,9 +374,11 @@ def racg_matrix_oracle(w: GPWord, spec: SSpec, window: tuple[int, int]) -> bool:
     the diagonal, 0 for T_S-adjacent pairs and -1 otherwise, and each
     generator maps to an exact integer reflection matrix. Faithful for
     right-angled Coxeter groups, hence independent of the rewriting.
-    """
-    import numpy as np
 
+    The reflection of vertex v is the identity with row v replaced by
+    e_v - 2 B[v], so multiplying by it on the right changes each row of the
+    product by a multiple of B[v]: row[j] -= 2 row[v] B[v][j].
+    """
     if w.n != 2:
         raise ValueError("matrix oracle requires modulus 2")
     lo, hi = window
@@ -388,23 +387,21 @@ def racg_matrix_oracle(w: GPWord, spec: SSpec, window: tuple[int, int]) -> bool:
         if not lo <= v <= hi:
             raise ValueError(f"vertex {v} outside window [{lo}, {hi}]")
     size = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
-    bform = np.ones((size, size), dtype=object)
-    for a in range(size):
-        for b in range(size):
-            if a != b:
-                bform[a, b] = 0 if ts_adjacent(verts[a], verts[b], spec) else -1
-
-    def reflection(v: int) -> np.ndarray:
-        mat = np.eye(size, dtype=object)
-        mat[index[v], :] -= 2 * bform[index[v], :]
-        return mat
-
-    prod = np.eye(size, dtype=object)
+    bform = [
+        [1 if a == b else 0 if ts_adjacent(verts[a], verts[b], spec) else -1 for b in range(size)]
+        for a in range(size)
+    ]
+    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+    prod = [row[:] for row in identity]
     for v, e in w.syllables:
         assert e == 1
-        prod = prod @ reflection(v)
-    return bool(np.array_equal(prod, np.eye(size, dtype=object)))
+        brow = bform[v - lo]
+        for row in prod:
+            c = 2 * row[v - lo]
+            if c:
+                for j, bj in enumerate(brow):
+                    row[j] -= c * bj
+    return prod == identity
 
 
 # ---------------------------------------------------------------------------

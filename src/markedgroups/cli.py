@@ -13,7 +13,6 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .circle_product import VARIANTS, verify_minimality
 from .grigorchuk import EventuallyConstantError, OmegaWord, limit_trivial, parse_omega
@@ -58,28 +57,18 @@ class DomainError(ValueError):
     """Input outside the supported domain (exit 3)."""
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Everything a subcommand run depends on; validated against the caps."""
-
-    subcommand: str
-    omegas: tuple[str, ...] = ()
-    bounds: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    fmt: str = "json"
-    threads: int = 1
-
-    def validate(self) -> None:
-        for name, (value, cap) in self.bounds.items():
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-            if value > cap:
-                raise ValueError(f"{name}={value} exceeds the safety cap {cap}")
-        if not 1 <= self.threads <= CAP_THREADS:
-            raise ValueError(f"threads={self.threads} is outside 1..{CAP_THREADS} (the safety cap is {CAP_THREADS})")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+def _check_caps(bounds: dict[str, tuple[int, int]], threads: int = 1, seed: int = DEFAULT_SEED) -> None:
+    """Reject a run before any work starts when a bound is negative or past
+    its safety cap, or the thread count or seed is out of range."""
+    for name, (value, cap) in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+        if value > cap:
+            raise ValueError(f"{name}={value} exceeds the safety cap {cap}")
+    if not 1 <= threads <= CAP_THREADS:
+        raise ValueError(f"threads={threads} is outside 1..{CAP_THREADS} (the safety cap is {CAP_THREADS})")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -118,8 +107,7 @@ def _tree_handle(omega: OmegaWord, generators: int) -> MarkedGroupHandle:
 
 def cmd_wp(args: argparse.Namespace) -> int:
     word_len = sum(1 for ch in args.word if not ch.isspace())
-    cfg = RunConfig("wp", bounds={"word_len": (word_len, CAP_WORD_LEN)}, out=args.out)
-    cfg.validate()
+    _check_caps({"word_len": (word_len, CAP_WORD_LEN)})
     if args.family == "grig":
         if args.omega is None:
             raise ValueError("--omega is required for the grig family")
@@ -140,8 +128,7 @@ def cmd_wp(args: argparse.Namespace) -> int:
 
 def cmd_growth(args: argparse.Namespace) -> int:
     cap = CAP_TREE_RADIUS if args.family == "grig" else CAP_MODEL_RADIUS
-    cfg = RunConfig("growth", bounds={"n_max": (args.n_max, cap)}, out=args.out, threads=args.threads, fmt="csv")
-    cfg.validate()
+    _check_caps({"n_max": (args.n_max, cap)}, threads=args.threads)
     if args.family == "lamp":
         handle = lamplighter_handle(args.modulus)
     else:
@@ -156,14 +143,10 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 
 def cmd_converge(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        "converge",
-        bounds={"j_min": (args.j_min, CAP_PREFIX), "j_max": (args.j_max, CAP_PREFIX), "n_max": (args.n_max, CAP_MODEL_RADIUS)},
-        out=args.out,
+    _check_caps(
+        {"j_min": (args.j_min, CAP_PREFIX), "j_max": (args.j_max, CAP_PREFIX), "n_max": (args.n_max, CAP_MODEL_RADIUS)},
         threads=args.threads,
-        fmt="csv",
     )
-    cfg.validate()
     if args.j_min > args.j_max:
         raise ValueError("--jmin must not exceed --jmax")
     target = lamplighter_handle(2)
@@ -188,14 +171,7 @@ def _separator_json(report: SeparatorReport, names: tuple[str, ...]) -> dict | N
 
 
 def cmd_separate(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        "separate",
-        omegas=(args.omega1, args.omega2),
-        bounds={"l_max": (args.l_max, CAP_SEPARATOR_LEN)},
-        out=args.out,
-        threads=args.threads,
-    )
-    cfg.validate()
+    _check_caps({"l_max": (args.l_max, CAP_SEPARATOR_LEN)}, threads=args.threads)
     om1, om2 = parse_omega(args.omega1), parse_omega(args.omega2)
     four = find_separating_word(_tree_handle(om1, 4), _tree_handle(om2, 4), args.l_max)
     two = find_separating_word(_tree_handle(om1, 2), _tree_handle(om2, 2), args.l_max)
@@ -214,18 +190,15 @@ def cmd_separate(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        "crosscheck",
-        bounds={
+    _check_caps(
+        {
             "max_len": (args.max_len, CAP_WORD_LEN),
             "samples": (args.samples, CAP_SAMPLES),
             "k_min": (args.k_min, CAP_WINDOW),
             "k_max": (args.k_max, CAP_WINDOW),
         },
         seed=args.seed,
-        out=args.out,
     )
-    cfg.validate()
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     if args.k_max - args.k_min < 2:
@@ -295,26 +268,17 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def cmd_minimality(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        "minimality",
-        bounds={"window": (args.window, CAP_WINDOW), "m": (args.m, CAP_WINDOW), "n": (args.n, CAP_WINDOW)},
-        out=args.out,
+    _check_caps(
+        {"window": (args.window, CAP_WINDOW), "m": (args.m, CAP_WINDOW), "n": (args.n, CAP_WINDOW)},
         threads=args.threads,
     )
-    cfg.validate()
     report = verify_minimality(args.n, args.m, args.window, variant=args.variant, threads=args.threads)
     _emit_json(report, args.out)
     return EXIT_OK if report["verdict"] == "pass" else EXIT_VIOLATION
 
 
 def cmd_structure(args: argparse.Namespace) -> int:
-    cfg = RunConfig(
-        "structure",
-        bounds={"window": (args.window, CAP_WINDOW), "samples": (args.samples, CAP_SAMPLES)},
-        seed=args.seed,
-        out=args.out,
-    )
-    cfg.validate()
+    _check_caps({"window": (args.window, CAP_WINDOW), "samples": (args.samples, CAP_SAMPLES)}, seed=args.seed)
     report = structure_report(args.window, corrupt_alpha=args.negative_control, sample_count=args.samples, seed=args.seed)
     _emit_json(report, args.out)
     if args.negative_control:

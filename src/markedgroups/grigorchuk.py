@@ -34,12 +34,8 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
-
-from .words import gen_commutator, gen_conjugate, gen_inverse, klein_reduce
+from .words import klein_reduce
 
 __all__ = [
     "SPIN",
@@ -52,8 +48,6 @@ __all__ = [
     "sections",
     "is_trivial",
     "TreeKeys",
-    "level_permutation",
-    "acts_trivially_to_depth",
     "order_of",
     "translate_L_word",
     "limit_trivial",
@@ -264,9 +258,9 @@ class TreeKeys:
     """Exact integer keys for the elements of one G_omega: equal iff equal elements.
 
     An element is determined by its root parity and its two level-1
-    sections, so the key of a Klein-reduced word is the interned triple
-    (root parity, key of section 0, key of section 1) over the shifted omega.
-    Sections of a word of length n >= 2 are shorter than n, so the recursion
+    sections, so the key of a word is the interned triple (root parity, key
+    of section 0, key of section 1) over the shifted omega. The Klein-reduced
+    sections of a word of length n >= 2 are shorter than n, so the recursion
     ends at words of length <= 1 at some shift of omega: e, a and the
     generator states. omega is eventually periodic, so these states form a
     finite automaton. It is minimized once by Moore partition refinement and
@@ -311,8 +305,13 @@ class TreeKeys:
         self._memo: dict[tuple[str, int], int] = {}
 
     def key(self, w: str) -> int:
-        """Key of a word over a, b, c, d; Klein-reduced first."""
-        return self._key(klein_reduce(w), 0)
+        """Key of a word over a, b, c, d, Klein-reduced or not.
+
+        Only the sections are reduced: the tree handles' products are
+        reduced already, and an a-free word of two or more letters shrinks
+        under reduction, so the recursion ends either way.
+        """
+        return self._key(w, 0)
 
     def _key(self, w: str, j: int) -> int:
         if len(w) <= 1:
@@ -325,69 +324,6 @@ class TreeKeys:
             k = self._intern.setdefault(triple, len(self._intern))
             self._memo[w, j] = k
         return k
-
-
-# ---------------------------------------------------------------------------
-# Level permutations
-
-
-# Letter permutations of a tree level, cached per (letter, omega, depth).
-# Index convention: vertex of depth D <-> integer whose most significant bit
-# is the first path letter. Arrays are immutable int32.
-_LETTER_PERM_CACHE: dict[tuple[str, OmegaWord, int], np.ndarray] = {}
-
-
-def _letter_perm(g: str, omega: OmegaWord, depth: int) -> np.ndarray:
-    import numpy as np
-
-    key = (g, omega, depth)
-    cached = _LETTER_PERM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    size = 1 << depth
-    if depth == 0:
-        perm = np.zeros(1, dtype=np.int32)
-    elif g == "a":
-        perm = np.arange(size, dtype=np.int32) ^ np.int32(size >> 1)
-    else:
-        half = size >> 1
-        perm = np.arange(size, dtype=np.int32)
-        spin = SPIN[g][omega.first]
-        if spin == "a" and depth >= 2:
-            perm[:half] ^= np.int32(half >> 1)
-        sub = _letter_perm(g, omega.shift(), depth - 1)
-        perm[half:] = sub + np.int32(half)
-    perm.flags.writeable = False
-    _LETTER_PERM_CACHE[key] = perm
-    return perm
-
-
-def level_permutation(w: str, omega: OmegaWord, depth: int) -> np.ndarray:
-    """Permutation induced on the 2^depth vertices of one tree level.
-
-    Entry i is the image of vertex i; identical arrays at a separating depth
-    certify equal elements, different arrays always certify distinct ones.
-    """
-    import numpy as np
-
-    size = 1 << depth
-    cur = np.arange(size, dtype=np.int32)
-    for g in w:
-        cur = _letter_perm(g, omega, depth)[cur]
-    cur.flags.writeable = False
-    return cur
-
-
-def acts_trivially_to_depth(w: str, omega: OmegaWord, depth: int) -> bool:
-    """True iff w fixes every vertex of depth <= depth.
-
-    Fixing the deepest level forces fixing all shallower ones, so a single
-    level permutation suffices.
-    """
-    import numpy as np
-
-    perm = level_permutation(w, omega, depth)
-    return bool(np.array_equal(perm, np.arange(1 << depth, dtype=np.int32)))
 
 
 # ---------------------------------------------------------------------------

@@ -40,14 +40,12 @@ __all__ = [
     "lamp_t",
     "lamp_multiply",
     "lamp_inverse",
-    "lamp_conjugate",
     "lamp_commutator",
     "alpha",
     "ExtLampElement",
     "ext_identity",
     "ext_multiply",
     "ext_inverse",
-    "ext_conjugate",
     "eval_st_word",
     "abcd_images",
     "eval_abcd_word",
@@ -111,11 +109,6 @@ def lamp_inverse(u: LampElement) -> LampElement:
     return _from_dict(u.n, {p - u.shift: -v for p, v in u.lamps}, -u.shift)
 
 
-def lamp_conjugate(u: LampElement, g: LampElement) -> LampElement:
-    """u^g = g^{-1} u g."""
-    return lamp_multiply(lamp_multiply(lamp_inverse(g), u), g)
-
-
 def lamp_commutator(u: LampElement, v: LampElement) -> LampElement:
     return lamp_multiply(lamp_multiply(lamp_inverse(u), lamp_inverse(v)), lamp_multiply(u, v))
 
@@ -160,10 +153,6 @@ def ext_multiply(u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:
 def ext_inverse(u: ExtLampElement) -> ExtLampElement:
     inv = lamp_inverse(u.base)
     return ExtLampElement(alpha(inv) if u.flip else inv, u.flip)
-
-
-def ext_conjugate(u: ExtLampElement, g: ExtLampElement) -> ExtLampElement:
-    return ext_multiply(ext_multiply(ext_inverse(g), u), g)
 
 
 def ext_commutator(u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:

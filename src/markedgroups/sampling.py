@@ -10,13 +10,11 @@ any determinism guarantee we want to lean on.
 from __future__ import annotations
 
 from .grigorchuk import OmegaWord
-from .words import FreeWord
 
 __all__ = [
     "DEFAULT_SEED",
     "Lcg",
     "sample_alternating_word",
-    "sample_free_word",
     "sample_omega",
     "sample_gp_syllables",
 ]
@@ -65,19 +63,6 @@ def sample_alternating_word(rng: Lcg, max_len: int) -> str:
         else:
             out.append("bcd"[rng.randrange(3)])
     return "".join(out)
-
-
-def sample_free_word(rng: Lcg, rank: int, max_len: int) -> FreeWord:
-    """Freely reduced word: uniform length, then a non-backtracking walk."""
-    length = rng.randrange(max_len + 1)
-    letters: list[tuple[int, int]] = []
-    for _ in range(length):
-        while True:
-            cand = (rng.randrange(rank), 1 if rng.randrange(2) == 0 else -1)
-            if not letters or letters[-1] != (cand[0], -cand[1]):
-                break
-        letters.append(cand)
-    return FreeWord(tuple(letters), rank)
 
 
 def sample_omega(rng: Lcg, pre_max: int = 4, period_max: int = 4) -> OmegaWord:

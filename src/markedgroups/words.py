@@ -21,7 +21,6 @@ __all__ = [
     "FreeWord",
     "free_reduce",
     "free_concat",
-    "free_inverse",
     "enumerate_reduced",
     "free_ball_count",
     "is_square",
@@ -91,10 +90,6 @@ def free_concat(u: FreeWord, v: FreeWord) -> FreeWord:
     if u.rank != v.rank:
         raise ValueError("rank mismatch")
     return free_reduce(FreeWord(u.letters + v.letters, u.rank))
-
-
-def free_inverse(w: FreeWord) -> FreeWord:
-    return w.inverse()
 
 
 def enumerate_reduced(rank: int, max_len: int) -> Iterator[FreeWord]:

@@ -1,10 +1,6 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -246,12 +242,3 @@ def test_thread_cap(capsys):
         )
         assert code == EXIT_USAGE and "cap" in err and "1..16" in err
 
-
-def test_cli_import_does_not_load_numpy():
-    # numpy is most of the import time and no CLI path needs it; only the
-    # level-permutation and matrix oracles import it, on first use
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import markedgroups.cli, sys; assert 'numpy' not in sys.modules"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Tree groups G_omega: action, sections, word problem, torsion, limits."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,11 +9,9 @@ import oracles
 from markedgroups.grigorchuk import (
     EventuallyConstantError,
     act,
-    acts_trivially_to_depth,
     TreeKeys,
     dead_letter_for,
     is_trivial,
-    level_permutation,
     limit_trivial,
     order_of,
     parse_omega,
@@ -99,7 +99,7 @@ def test_defining_relations_act_trivially():
     for otext in ["(012)", "(021)", "(01)", "1(02)", "(0)"]:
         om = parse_omega(otext)
         for rel in ["aa", "bb", "cc", "dd", "bcd", "bdc" if False else "cdb"]:
-            assert acts_trivially_to_depth(rel, om, 10), (otext, rel)
+            assert oracles.oracle_acts_trivially(rel, _oracle_omega(otext), 10), (otext, rel)
 
 
 # -- sections -----------------------------------------------------------------
@@ -178,15 +178,6 @@ def test_orders_are_powers_of_two():
         assert n is not None and n & (n - 1) == 0
 
 
-# -- level permutations -------------------------------------------------------
-
-def test_level_permutation_matches_oracle():
-    for w in ["", "a", "ab", "abad", "bcd"]:
-        for depth in (1, 4, 7):
-            perm = level_permutation(w, OM012, depth)
-            assert list(perm) == oracles.oracle_word_perm(w, oracles.OMEGA_012, depth)
-
-
 # -- limits and constant routing ----------------------------------------------
 
 def test_translate_L_word():
@@ -252,6 +243,17 @@ def test_tree_keys_long_word_equal_to_generator():
         assert keys.key(rel + x) == keys.key(x)
         assert keys.key(x + rel) == keys.key(x)
     assert len({keys.key(x) for x in ["", "a", "b", "c", "d"]}) == 5
+
+
+@pytest.mark.parametrize("otext", ["(012)", "2(01)", "0(021)"])
+def test_tree_keys_need_no_top_level_reduction(otext):
+    # key() reduces only the sections, so every word of length <= 6, reduced
+    # or not, must get the key of its Klein normal form
+    keys = TreeKeys(parse_omega(otext))
+    words = ["".join(p) for n in range(7) for p in itertools.product("abcd", repeat=n)]
+    assert len(words) == 5461
+    for w in words:
+        assert keys.key(w) == keys.key(klein_reduce(w)), (otext, w)
 
 
 def test_tree_keys_reject_eventually_constant():
