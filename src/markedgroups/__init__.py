@@ -18,8 +18,6 @@ from .words import (
     free_ball_count,
     free_concat,
     free_reduce,
-    gen_commutator,
-    gen_conjugate,
     gen_inverse,
     is_square,
     klein_reduce,

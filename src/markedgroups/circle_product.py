@@ -88,37 +88,22 @@ def build_s_sequence(spec: SSpec, count: int) -> list[int]:
 
 @lru_cache(maxsize=1 << 16)
 def _in_difference_set(delta: int, m: int, variant: str) -> bool:
-    """delta >= 0 membership in S - S by pair scan over a provable prefix.
+    """delta >= 0 membership in S - S, decided exactly on a prefix of S.
 
-    Beyond index 2m every consecutive gap is at least m (original) or m+1
-    (corrected), both computable from the closed forms, so absence of a
-    delta below that floor is decided once the prefix is long enough that
-    later pairs only grow. Deltas at or above the floor have always been
-    found in practice; if one ever is not, the honest answer is an error,
-    not a guess.
+    Let a_l - a_k = delta with k < l. Every gap of S is at least 1, so
+    l <= k + delta. The gap after index 2j is j+1 or j+2, so a pair with
+    k = 2j, or with k = 2j-1 and l >= k+2, has delta >= j+1, hence k <= 2 delta.
+    The remaining pairs (k odd, l = k+1) are the even gaps a_{2j+2} - a_{2j+1},
+    which equal mult for j < m-1 and mult-1 afterwards (mult as in
+    build_s_sequence); their first witnesses sit at k = 1 and k = 2m-1, both
+    <= 2 delta because mult-1 >= m. So some witness has l <= 3 delta, and the
+    first 3 delta + 1 terms decide membership.
     """
     if delta == 0:
         return True
-    spec = SSpec(m, variant)
-    # Consecutive gaps from position 2m-2 on: odd steps give j+2 >= m+1 once
-    # j >= m-1, even steps give m+2 or m+1 (corrected) resp. m+1 or m
-    # (original). So every pair not fully inside a prefix of length > 2m
-    # differs by at least tail_floor, and absence below the floor is proved
-    # by scanning the prefix alone.
-    tail_floor = m if variant == "original" else m + 1
-    count = 2 * (m + delta) + 24
-    for _ in range(2):
-        seq = build_s_sequence(spec, count)
-        diffs = {b - a for i, a in enumerate(seq) for b in seq[i + 1 :]}
-        if delta in diffs:
-            return True
-        if delta < tail_floor:
-            return False
-        count *= 4
-    raise RuntimeError(
-        f"in_difference_set undecided for delta={delta}, m={m}, {variant}: "
-        f"not found in {count // 4} terms and no gap argument applies"
-    )
+    seq = build_s_sequence(SSpec(m, variant), 3 * delta + 1)
+    terms = set(seq)
+    return any(a + delta in terms for a in seq)
 
 
 def in_difference_set(delta: int, spec: SSpec) -> bool:

@@ -112,19 +112,19 @@ def lamplighter_handle(n: int = 2) -> MarkedGroupHandle:
     return make_handle(f"lamp{n}", ("s", "t"), trivial, ident, mul, _normal_form)
 
 
-def ext_model_handle(symbol: int, n: int = 2) -> MarkedGroupHandle:
+def ext_model_handle(symbol: int) -> MarkedGroupHandle:
     """The extension model of the constant-sequence group, marked (a, b, c, d).
 
     The dead letter for the symbol plays the s role; evaluation lands in
-    L x| Z_2 where comparison is exact.
+    (Z_2 wr Z) x| Z_2 where comparison is exact.
     """
     dead = dead_letter_for(symbol)
-    ident = ext_identity(n)
-    gens = abcd_images(dead, n)
+    ident = ext_identity()
+    gens = abcd_images(dead)
     images = _letter_images([gens[ch] for ch in "abcd"], ext_inverse)
 
     def trivial(w: FreeWord) -> bool:
-        return eval_abcd_word(gen_word_from_free(w), dead, n) == ident
+        return eval_abcd_word(gen_word_from_free(w), dead) == ident
 
     def mul(elem, letter):
         return ext_multiply(elem, images[letter])

@@ -8,11 +8,13 @@ together with a shift z. Multiplication follows
 with the marked generators s = one lamp at position 0 and t = bare shift 1.
 Under this law s conjugated by t^i is the lamp at position -i.
 
-The extension adjoins an involution acting by the automorphism alpha with
-alpha(s) = t s t^{-1} and alpha(t) = t^{-1}. On normal forms this is the
-reflection alpha(f, z) = (i -> f(1 - i), -z): the unique involutive companion
-of t -> t^{-1} consistent with the a..d generator dictionary below (the other
-candidate reflection, f(-1-i), would send s to t^{-1} s t and break c^2 = e).
+The extension is built over Z_2 wr Z only, since the lamp generator stands
+for the involution d. It adjoins an involution acting by the automorphism
+alpha with alpha(s) = t s t^{-1} and alpha(t) = t^{-1}. On normal forms this
+is the reflection alpha(f, z) = (i -> f(1 - i), -z): the unique involutive
+companion of t -> t^{-1} consistent with the a..d generator dictionary below
+(the other candidate reflection, f(-1-i), would send s to t^{-1} s t and
+break c^2 = e).
 
 Generator dictionary for the tree-family letters, with d as the dead letter:
 
@@ -20,15 +22,16 @@ Generator dictionary for the tree-family letters, with d as the dead letter:
     b -> a . t                 c -> b . d
 
 so that the product ab evaluates to (t, no flip). Other dead letters are
-served by relabeling (see grigorchuk.route_constant). All five defining
-relations a^2, b^2, c^2, d^2, bcd are verified at import time for each of the
-three dictionaries.
+served by relabeling (see grigorchuk.route_constant). The three dictionaries
+are built once at import, where all five defining relations a^2, b^2, c^2,
+d^2, bcd are verified for each of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 from .grigorchuk import route_constant
 from .words import FreeWord
@@ -130,6 +133,8 @@ class ExtLampElement:
     flip: int
 
     def __post_init__(self) -> None:
+        if self.base.n != 2:
+            raise ValueError("the extension model is built over Z_2 wr Z only")
         if self.flip not in (0, 1):
             raise ValueError("flip must be 0 or 1")
 
@@ -137,8 +142,8 @@ class ExtLampElement:
         return f"{self.base} flip:{self.flip}"
 
 
-def ext_identity(n: int = 2) -> ExtLampElement:
-    return ExtLampElement(lamp_identity(n), 0)
+def ext_identity() -> ExtLampElement:
+    return ExtLampElement(lamp_identity(), 0)
 
 
 def _ext_multiply_with(twist: Callable[[LampElement], LampElement], u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:
@@ -155,10 +160,6 @@ def ext_inverse(u: ExtLampElement) -> ExtLampElement:
     return ExtLampElement(alpha(inv) if u.flip else inv, u.flip)
 
 
-def ext_commutator(u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:
-    return ext_multiply(ext_multiply(ext_inverse(u), ext_inverse(v)), ext_multiply(u, v))
-
-
 def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
     """Left-to-right product of s/t images of a rank-2 free word."""
     if w.rank != 2:
@@ -171,30 +172,38 @@ def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
     return acc
 
 
-def _abcd_images_with(twist: Callable[[LampElement], LampElement], n: int) -> dict[str, ExtLampElement]:
-    a_img = ExtLampElement(lamp_identity(n), 1)
-    d_img = ExtLampElement(lamp_s(n), 0)
-    t_img = ExtLampElement(lamp_t(n), 0)
+def _abcd_images_with(twist: Callable[[LampElement], LampElement]) -> dict[str, ExtLampElement]:
+    a_img = ExtLampElement(lamp_identity(), 1)
+    d_img = ExtLampElement(lamp_s(), 0)
+    t_img = ExtLampElement(lamp_t(), 0)
     mult = lambda u, v: _ext_multiply_with(twist, u, v)
     b_img = mult(a_img, t_img)  # b = a.t since t = ab and a is an involution
     c_img = mult(b_img, d_img)  # c = b.d since bcd = e
     return {"a": a_img, "b": b_img, "c": c_img, "d": d_img}
 
 
-def abcd_images(dead_letter: str = "d", n: int = 2) -> dict[str, ExtLampElement]:
+def _dictionaries() -> dict[str, Mapping[str, ExtLampElement]]:
+    """Images of a, b, c, d for each dead letter, relabelled from the d-dead ones."""
+    canonical = _abcd_images_with(alpha)
+    tables = {}
+    for dead, symbol in (("d", 0), ("c", 1), ("b", 2)):
+        relabel = route_constant(symbol)
+        tables[dead] = MappingProxyType({letter: canonical[relabel[letter]] for letter in "abcd"})
+    return tables
+
+
+def abcd_images(dead_letter: str = "d") -> Mapping[str, ExtLampElement]:
     """Model images of a, b, c, d when the given letter is the dead one."""
-    symbol = {"d": 0, "c": 1, "b": 2}.get(dead_letter)
-    if symbol is None:
+    images = _ABCD_IMAGES.get(dead_letter)
+    if images is None:
         raise ValueError("dead letter must be one of b, c, d")
-    relabel = route_constant(symbol)
-    canonical = _abcd_images_with(alpha, n)
-    return {letter: canonical[relabel[letter]] for letter in "abcd"}
+    return images
 
 
-def eval_abcd_word(w: str, dead_letter: str = "d", n: int = 2) -> ExtLampElement:
+def eval_abcd_word(w: str, dead_letter: str = "d") -> ExtLampElement:
     """Evaluate a word over a..d in the extension model."""
-    images = abcd_images(dead_letter, n)
-    acc = ext_identity(n)
+    images = abcd_images(dead_letter)
+    acc = ext_identity()
     for ch in w:
         if ch.isspace():
             continue
@@ -206,6 +215,7 @@ def eval_abcd_word(w: str, dead_letter: str = "d", n: int = 2) -> ExtLampElement
 
 
 _RELATIONS = ("aa", "bb", "cc", "dd", "bcd")
+_ABCD_IMAGES = _dictionaries()
 
 
 def _verify_dictionaries() -> None:
@@ -233,9 +243,9 @@ def t_n_word(i: int) -> str:
     return "a" + "ba" * m + "d" + "ab" * m + "a"
 
 
-def lamp_t_n(i: int, n: int = 2) -> ExtLampElement:
+def lamp_t_n(i: int) -> ExtLampElement:
     """Model value of t_i, via its defining word; lies in the lamp part."""
-    val = eval_abcd_word(t_n_word(i), "d", n)
+    val = eval_abcd_word(t_n_word(i), "d")
     assert val.flip == 0 and val.base.shift == 0, f"t_{i} left the lamp subgroup: {val}"
     return val
 
@@ -245,7 +255,7 @@ def _factor_k_part(u: ExtLampElement) -> tuple[LampElement, int]:
     return u.base, u.flip
 
 
-def structure_report(window: int, corrupt_alpha: bool = False, n: int = 2, sample_count: int = 100, seed: int = 1729) -> dict:
+def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int = 100, seed: int = 1729) -> dict:
     """Normal-form verification of the model's internal structure.
 
     Checks, for |i|, |j| <= window: the t_i are pairwise distinct commuting
@@ -268,14 +278,15 @@ def structure_report(window: int, corrupt_alpha: bool = False, n: int = 2, sampl
     def conj(u: ExtLampElement, g: ExtLampElement) -> ExtLampElement:
         return mult(mult(inv(g), u), g)
 
+    images = _abcd_images_with(twist)
+
     def eval_word(word: str) -> ExtLampElement:
-        images = _abcd_images_with(twist, n)
-        acc = ExtLampElement(lamp_identity(n), 0)
+        acc = ExtLampElement(lamp_identity(), 0)
         for ch in word:
             acc = mult(acc, images[ch])
         return acc
 
-    ident = ext_identity(n)
+    ident = ext_identity()
     indices = range(-window, window + 1)
     t_vals = {i: eval_word(t_n_word(i)) for i in indices}
     ab_val = eval_word("ab")
@@ -315,10 +326,10 @@ def structure_report(window: int, corrupt_alpha: bool = False, n: int = 2, sampl
     rng = Lcg(seed)
     factor_ok = True
     for _ in range(sample_count):
-        lamps = {rng.randrange(2 * window + 1) - window: 1 + rng.randrange(n - 1) for _ in range(rng.randrange(4))}
-        u = ExtLampElement(_from_dict(n, lamps, rng.randrange(7) - 3), rng.randrange(2))
+        lamps = {rng.randrange(2 * window + 1) - window: 1 for _ in range(rng.randrange(4))}
+        u = ExtLampElement(_from_dict(2, lamps, rng.randrange(7) - 3), rng.randrange(2))
         k_part, flip = _factor_k_part(u)
-        rebuilt = mult(ExtLampElement(k_part, 0), ExtLampElement(lamp_identity(n), flip))
+        rebuilt = mult(ExtLampElement(k_part, 0), ExtLampElement(lamp_identity(), flip))
         if rebuilt != u or (flip == 0) != (u.flip == 0):
             factor_ok = False
             break
@@ -332,11 +343,11 @@ def structure_report(window: int, corrupt_alpha: bool = False, n: int = 2, sampl
     for _ in range(sample_count):
         es = []
         for _ in range(4):
-            lamps = {rng.randrange(9) - 4: 1 + rng.randrange(n - 1) for _ in range(rng.randrange(3))}
-            es.append(_from_dict(n, lamps, rng.randrange(9) - 4))
+            lamps = {rng.randrange(9) - 4: 1 for _ in range(rng.randrange(3))}
+            es.append(_from_dict(2, lamps, rng.randrange(9) - 4))
         c1 = lamp_commutator(es[0], es[1])
         c2 = lamp_commutator(es[2], es[3])
-        if c1.shift != 0 or c2.shift != 0 or lamp_commutator(c1, c2) != lamp_identity(n):
+        if c1.shift != 0 or c2.shift != 0 or lamp_commutator(c1, c2) != lamp_identity():
             meta_ok = False
             break
     checks["metabelian_commutators"] = {"pass": meta_ok}
@@ -345,7 +356,7 @@ def structure_report(window: int, corrupt_alpha: bool = False, n: int = 2, sampl
     return {
         "schema": 1,
         "window": window,
-        "modulus": n,
+        "modulus": 2,
         "negative_control": corrupt_alpha,
         "checks": checks,
         "verdict": verdict,

@@ -19,19 +19,19 @@ involutive-generator hint restricts candidates to the sublanguage where
 class-minimal representatives provably live; it does not affect answers.
 
 Comparison of two handles runs the same BFS on joint classes (equal in both
-groups), with each candidate multiplied out from the identity. Two classes
-sharing one coordinate but not the other exhibit a word trivial in exactly
-one group; the minimal such total length lambda pins the agreement radius
-exactly: verdicts agree on all words of length < lambda and disagree at
-lambda.
+groups). A candidate, multiplied out from the identity, either names an
+existing joint class by its pair of keys or admits a new one. One pass over
+each group's key buckets afterwards finds the conflicts: two classes sharing
+one key but not the other exhibit a word trivial in exactly one group, and
+the minimal such total length lambda pins the agreement radius exactly:
+verdicts agree on all words of length < lambda and disagree at lambda.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence, TextIO
 
 from .words import FreeWord, empty_word, enumerate_reduced, is_square
 
@@ -151,14 +151,6 @@ class _ClassTable:
             elem = self.handle.mul(elem, letter)
         return elem
 
-    def lookup(self, w: FreeWord) -> list[int]:
-        """Indices of the classes equal to w in this group."""
-        return self.buckets.get(self.handle.key(self.element(w)), [])
-
-    def group_ids(self) -> list[int]:
-        """For each class, the least class index equal to it in this group."""
-        return [self.buckets[key][0] for key in self.keys]
-
 
 # ---------------------------------------------------------------------------
 # Single-group Cayley balls
@@ -224,27 +216,15 @@ def growth_sequence(handle: MarkedGroupHandle, n_max: int) -> list[int]:
 # Lockstep comparison of two marked groups
 
 
-@dataclass(frozen=True, slots=True)
-class _Conflict:
-    total: int
-    word: FreeWord  # candidate
-    other: FreeWord  # earlier representative equal in exactly one group
-    trivial_in: int  # 0 or 1: which handle kills word . other^{-1}
-
-
 @dataclass(slots=True)
 class _LockstepResult:
-    certified: int  # all words of length <= certified have consistent verdicts checked
-    conflict: "_Conflict | None"  # minimal-total conflict, ties broken by discovery order
-    conflict_count: int
+    lam: int | None  # least conflict length, None if no two classes conflict
     reps: list[FreeWord]  # joint-class representatives, admission order
+    joint: dict[tuple[Hashable, Hashable], int]  # (key in h1, key in h2) -> class
+    partnered: list[bool]  # class conflicts with some other class
     t1: _ClassTable
     t2: _ClassTable
     invol_both: tuple[bool, ...]
-
-    @property
-    def class_count(self) -> int:
-        return len(self.reps)
 
 
 def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> _LockstepResult:
@@ -264,10 +244,8 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
     invol_both = tuple(a and b for a, b in zip(h1.involutive, h2.involutive))
 
     reps = [empty_word(h1.k)]
+    joint = {(t1.keys[0], t2.keys[0]): 0}
     layer = [0]
-    best: _Conflict | None = None
-    count = 0
-
     for _ in range(steps + 1):
         next_layer: list[int] = []
         for i in layer:
@@ -280,24 +258,49 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
                 # ends before its first 0.25 s calibration tick and the
                 # benchmark cannot time it (ROADMAP item 3).
                 c1, c2 = t1.element(w), t2.element(w)
-                k1, k2 = h1.key(c1), h2.key(c2)
-                eq1, eq2 = set(t1.buckets.get(k1, ())), set(t2.buckets.get(k2, ()))
-                for idx in sorted(eq1 ^ eq2):
-                    count += 1
-                    total = len(w) + len(reps[idx])
-                    if best is None or total < best.total:
-                        best = _Conflict(total, w, reps[idx], 0 if idx in eq1 else 1)
-                same = eq1 & eq2
-                assert len(same) <= 1, "distinct joint classes were equal in both groups"
-                if same:
+                pair = (h1.key(c1), h2.key(c2))
+                if pair in joint:
                     continue
-                t1.admit(c1, k1)
-                t2.admit(c2, k2)
+                joint[pair] = len(reps)
+                t1.admit(c1, pair[0])
+                t2.admit(c2, pair[1])
                 next_layer.append(len(reps))
                 reps.append(w)
         layer = next_layer
 
-    return _LockstepResult(2 * steps + 2, best, count, reps, t1, t2, invol_both)
+    lam, partnered = _conflicts(reps, t1, t2)
+    return _LockstepResult(lam, reps, joint, partnered, t1, t2, invol_both)
+
+
+def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[int | None, list[bool]]:
+    """Least conflict length lambda, and which classes conflict at all.
+
+    Two joint classes conflict when they are equal in exactly one group; their
+    representatives then spell a word trivial in exactly one group. A key
+    bucket of one table is split when its classes do not all share the other
+    table's key; a class has a partner exactly when it sits in a split bucket.
+    Buckets list classes in admission order, so their lengths never decrease:
+    the shortest conflicting pair inside a split bucket is its first class
+    with the first class whose other key differs.
+
+    Candidates that were not admitted need no pair of their own: such a word
+    equals an earlier class X in both groups, so any class Y it conflicts
+    with also conflicts with X, and len(X) + len(Y) <= len(w) + len(Y).
+    """
+    lam: int | None = None
+    partnered = [False] * len(reps)
+    for table, other in ((t1, t2), (t2, t1)):
+        for bucket in table.buckets.values():
+            first = bucket[0]
+            partner = next((j for j in bucket if other.keys[j] != other.keys[first]), None)
+            if partner is None:
+                continue
+            for j in bucket:
+                partnered[j] = True
+            total = len(reps[first]) + len(reps[partner])
+            if lam is None or total < lam:
+                lam = total
+    return lam, partnered
 
 
 def relation_agreement(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> bool:
@@ -305,8 +308,8 @@ def relation_agreement(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: in
     triviality verdict from both handles."""
     if max_len == 0:
         return True
-    result = _lockstep(h1, h2, max_len)
-    return result.conflict is None or result.conflict.total > max_len
+    lam = _lockstep(h1, h2, max_len).lam
+    return lam is None or lam > max_len
 
 
 def relation_agreement_exhaustive(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> bool:
@@ -339,10 +342,9 @@ def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int) -> Ag
     """Largest N <= n_max such that all words of length <= 2N+1 agree."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    result = _lockstep(h1, h2, 2 * n_max + 2)
-    if result.conflict is None:
+    lam = _lockstep(h1, h2, 2 * n_max + 2).lam
+    if lam is None:
         return AgreeRadius(n_max, False)
-    lam = result.conflict.total
     return AgreeRadius(min((lam - 2) // 2, n_max), True)
 
 
@@ -400,9 +402,10 @@ def _restricted_words(k: int, length: int, invol: tuple[bool, ...]):
 
 def _locate(res: _LockstepResult, w: FreeWord) -> int:
     """Joint class index of an arbitrary word within the lockstep horizon."""
-    both = set(res.t1.lookup(w)) & set(res.t2.lookup(w))
-    assert len(both) == 1, f"word {w} not covered by the lockstep tables"
-    return both.pop()
+    pair = (res.t1.handle.key(res.t1.element(w)), res.t2.handle.key(res.t2.element(w)))
+    idx = res.joint.get(pair)
+    assert idx is not None, f"word {w} not covered by the lockstep tables"
+    return idx
 
 
 def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
@@ -414,29 +417,17 @@ def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
     both groups, where verdicts already agree. Each candidate u = p . q
     (balanced split) is a separator iff the joint classes of p and q^{-1}
     coincide in exactly one group, so the scan costs two class lookups per
-    word instead of two oracle calls.
+    word instead of two oracle calls, and a prefix whose class has no
+    conflict partner is skipped outright.
     """
-    ids1 = res.t1.group_ids()
-    ids2 = res.t2.group_ids()
-
-    # classes that coincide with some other class in exactly one group
-    by_g1: dict[int, list[int]] = {}
-    by_g2: dict[int, list[int]] = {}
-    for idx in range(len(res.reps)):
-        by_g1.setdefault(ids1[idx], []).append(idx)
-        by_g2.setdefault(ids2[idx], []).append(idx)
-    has_partner = [
-        any(ids2[j] != ids2[i] for j in by_g1[ids1[i]]) or any(ids1[j] != ids1[i] for j in by_g2[ids2[i]])
-        for i in range(len(res.reps))
-    ]
-
+    keys1, keys2 = res.t1.keys, res.t2.keys
     k = res.t1.handle.k
     h = (lam + 1) // 2
     inv_class: dict[FreeWord, int] = {}
     suffixes = None  # built lazily: most prefixes have no conflict partner
     for p in _restricted_words(k, h, res.invol_both):
         cp = _locate(res, p)
-        if not has_partner[cp]:
+        if not res.partnered[cp]:
             continue
         if suffixes is None:
             suffixes = list(_restricted_words(k, lam - h, res.invol_both))
@@ -452,8 +443,8 @@ def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
             if cq is None:
                 cq = _locate(res, q.inverse())
                 inv_class[q] = cq
-            same1 = ids1[cp] == ids1[cq]
-            same2 = ids2[cp] == ids2[cq]
+            same1 = keys1[cp] == keys1[cq]
+            same2 = keys2[cp] == keys2[cq]
             if same1 != same2:
                 u = FreeWord(p.letters + q.letters, k)
                 return u, 0 if same1 else 1
@@ -465,10 +456,9 @@ def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: 
     if max_len == 0:
         return SeparatorReport(None, None, None, None)
     result = _lockstep(h1, h2, max_len)
-    c = result.conflict
-    if c is None or c.total > max_len:
+    if result.lam is None or result.lam > max_len:
         return SeparatorReport(None, None, None, None)
-    word, side = _first_separator(result, c.total)
+    word, side = _first_separator(result, result.lam)
     label = (h1 if side == 0 else h2).label
     return SeparatorReport(word, len(word), is_square(word), label)
 
@@ -477,33 +467,17 @@ def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: 
 # CSV surfaces
 
 
-def _open_out(out) -> tuple[io.TextIOBase, bool]:
-    if hasattr(out, "write"):
-        return out, False
-    return open(out, "w", newline=""), True
-
-
-def write_growth_csv(gamma: Sequence[int], out) -> None:
+def write_growth_csv(gamma: Sequence[int], out: TextIO) -> None:
     """Rows n,gamma with a header; deterministic byte output."""
-    fh, close = _open_out(out)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "gamma"])
-        for n, g in enumerate(gamma):
-            writer.writerow([n, g])
-    finally:
-        if close:
-            fh.close()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["n", "gamma"])
+    for n, g in enumerate(gamma):
+        writer.writerow([n, g])
 
 
-def write_convergence_csv(rows: Sequence[dict], out) -> None:
+def write_convergence_csv(rows: Sequence[dict], out: TextIO) -> None:
     """Rows index,prefix_len,agree_N,exact with a header."""
-    fh, close = _open_out(out)
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "prefix_len", "agree_N", "exact"])
-        for row in rows:
-            writer.writerow([row["index"], row["prefix_len"], row["agree_N"], str(row["exact"]).lower()])
-    finally:
-        if close:
-            fh.close()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["index", "prefix_len", "agree_N", "exact"])
+    for row in rows:
+        writer.writerow([row["index"], row["prefix_len"], row["agree_N"], str(row["exact"]).lower()])

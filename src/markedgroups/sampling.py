@@ -42,9 +42,6 @@ class Lcg:
             raise ValueError("n must be positive")
         return (self.next_u64() * n) >> 64
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
 
 def sample_alternating_word(rng: Lcg, max_len: int) -> str:
     """Random Klein-reduced word: uniform length, uniform phase, uniform slots.

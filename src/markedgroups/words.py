@@ -29,8 +29,6 @@ __all__ = [
     "GEN_ALPHABET",
     "klein_reduce",
     "gen_inverse",
-    "gen_conjugate",
-    "gen_commutator",
 ]
 
 
@@ -64,10 +62,6 @@ class FreeWord:
 
     def inverse(self) -> "FreeWord":
         return FreeWord(tuple((i, -s) for i, s in reversed(self.letters)), self.rank)
-
-    # Enumeration order key: length, then lexicographic with (i,+1) < (i,-1).
-    def sort_key(self) -> tuple:
-        return (len(self.letters), tuple((i, 0 if s == 1 else 1) for i, s in self.letters))
 
 
 def empty_word(rank: int) -> FreeWord:
@@ -238,16 +232,6 @@ def klein_reduce(w: str) -> str:
 def gen_inverse(w: str) -> str:
     # every letter is an involution, so the inverse is the reversal
     return w[::-1]
-
-
-def gen_conjugate(w: str, g: str) -> str:
-    """g^{-1} w g, i.e. w conjugated by g (h^g convention)."""
-    return gen_inverse(g) + w + g
-
-
-def gen_commutator(u: str, v: str) -> str:
-    """[u, v] = u^{-1} v^{-1} u v."""
-    return gen_inverse(u) + gen_inverse(v) + u + v
 
 
 def gen_word_from_free(w: FreeWord) -> str:

@@ -80,7 +80,7 @@ def test_criterion_01_defining_relations():
         # (ii) the wreath model under every dead-letter assignment
         for dead in "bcd":
             for rel in RELATORS:
-                assert eval_abcd_word(rel, dead) == ext_identity(2), (dead, rel)
+                assert eval_abcd_word(rel, dead) == ext_identity(), (dead, rel)
         # (iii) every marked handle honors its involutions (and bcd where 4-gen)
         handles = [
             grig_handle("(012)"),

@@ -78,6 +78,23 @@ def test_difference_set_original_collision():
         assert in_difference_set(m, spec)
 
 
+def test_difference_set_matches_brute_force():
+    # membership is decided on a short prefix; compare with every pair of a
+    # prefix far longer than any pair differing by <= 80 can reach
+    for variant in ("original", "corrected"):
+        for m in range(1, 13):
+            spec = SSpec(m, variant)
+            seq = build_s_sequence(spec, 400)
+            brute = set()
+            for i, a in enumerate(seq):
+                for b in seq[i + 1 :]:
+                    if b - a > 80:
+                        break
+                    brute.add(b - a)
+            for delta in range(1, 81):
+                assert in_difference_set(delta, spec) == (delta in brute), (variant, m, delta)
+
+
 def test_difference_set_symmetric():
     spec = M2_CORR
     for d in range(-8, 9):

@@ -5,12 +5,12 @@ from hypothesis import given, strategies as st
 
 import oracles
 from markedgroups.lamplighter import (
+    ExtLampElement,
     LampElement,
     abcd_images,
     alpha,
     eval_abcd_word,
     eval_st_word,
-    ext_commutator,
     ext_identity,
     ext_inverse,
     ext_multiply,
@@ -112,11 +112,9 @@ def test_alpha_on_generators():
 
 @given(lamp_elements(n=2), lamp_elements(n=2), st.integers(0, 1), st.integers(0, 1))
 def test_ext_group_laws(b1, b2, f1, f2):
-    from markedgroups.lamplighter import ExtLampElement
-
     u = ExtLampElement(b1, f1)
     v = ExtLampElement(b2, f2)
-    e = ext_identity(2)
+    e = ext_identity()
     assert ext_multiply(u, ext_inverse(u)) == e
     assert ext_multiply(ext_inverse(u), u) == e
     w = ext_multiply(u, v)
@@ -124,24 +122,34 @@ def test_ext_group_laws(b1, b2, f1, f2):
 
 
 def test_ext_word_evaluation():
-    assert eval_abcd_word("aa") == ext_identity(2)
-    assert eval_abcd_word("bb") == ext_identity(2)
-    assert eval_abcd_word("cc") == ext_identity(2)
-    assert eval_abcd_word("dd") == ext_identity(2)
-    assert eval_abcd_word("bcd") == ext_identity(2)
-    assert eval_abcd_word("bc") != ext_identity(2)
-    assert eval_abcd_word("d") != ext_identity(2)  # d is the lamp, not trivial
+    assert eval_abcd_word("aa") == ext_identity()
+    assert eval_abcd_word("bb") == ext_identity()
+    assert eval_abcd_word("cc") == ext_identity()
+    assert eval_abcd_word("dd") == ext_identity()
+    assert eval_abcd_word("bcd") == ext_identity()
+    assert eval_abcd_word("bc") != ext_identity()
+    assert eval_abcd_word("d") != ext_identity()  # d is the lamp, not trivial
 
 
 def test_abcd_dictionary_relations_all_dead_letters():
     for dead in "bcd":
         images = abcd_images(dead)
-        e = ext_identity(2)
+        e = ext_identity()
         for g in "abcd":
             assert ext_multiply(images[g], images[g]) == e, (dead, g)
         prod = ext_multiply(ext_multiply(images["b"], images["c"]), images["d"])
         assert prod == e, dead
         assert images[dead].base.lamps, dead  # dead letter carries the lamp
+
+
+def test_ext_model_rejects_modulus_other_than_2():
+    # d stands for the lamp generator, which is an involution only over Z_2
+    for n in (3, 5):
+        with pytest.raises(ValueError):
+            ExtLampElement(lamp_identity(n), 0)
+        with pytest.raises(ValueError):
+            ExtLampElement(lamp_s(n), 1)
+    assert ExtLampElement(lamp_s(2), 1).base == lamp_s(2)
 
 
 def test_eval_st_word():

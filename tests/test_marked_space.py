@@ -222,7 +222,7 @@ PAIRS = [
 
 
 @pytest.mark.parametrize("h1,h2", PAIRS)
-@pytest.mark.parametrize("max_len", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 3, 4, 5])
 def test_lockstep_matches_exhaustive(h1, h2, max_len):
     assert relation_agreement(h1, h2, max_len) == relation_agreement_exhaustive(
         h1, h2, max_len
