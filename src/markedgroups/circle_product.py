@@ -17,7 +17,6 @@ one whose window checks pass. Both are kept so the discrepancy stays visible.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -393,7 +392,7 @@ def racg_matrix_oracle(w: GPWord, spec: SSpec, window: tuple[int, int]) -> bool:
 # Minimality pipeline
 
 
-def verify_minimality(n: int, m: int, window: int, variant: str = "corrected", threads: int = 1) -> dict:
+def verify_minimality(n: int, m: int, window: int, variant: str = "corrected") -> dict:
     """Full minimality evidence for < s, t | s^n, [s, s^{t^i}] i >= 1 > at index m.
 
     Pipeline: the difference-window clauses on S, the commutator grid
@@ -408,15 +407,8 @@ def verify_minimality(n: int, m: int, window: int, variant: str = "corrected", t
     diff_report = verify_difference_window(spec, window)
     adjacent = ts_predicate(spec)
 
-    def commutator_entry(i: int) -> dict:
-        return {"i": i, "trivial": commutator_trivial(i, spec, n), "expected": i != m}
-
-    indices = list(range(1, window + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            commutators = list(pool.map(commutator_entry, indices))
-    else:
-        commutators = [commutator_entry(i) for i in indices]
+    indices = range(1, window + 1)
+    commutators = [{"i": i, "trivial": commutator_trivial(i, spec, n), "expected": i != m} for i in indices]
     grid_ok = all(row["trivial"] == row["expected"] for row in commutators)
 
     x = x_gen(n)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a verified property failed, 2 usage/parse/cap
 error, 3 unsupported input domain (eventually constant but non-constant
-sequences have no faithful handle here). Results go to --out or stdout;
+sequences have no faithful handle here). An internal consistency check that
+fails (an ``AssertionError`` inside the package) also exits 1, with
+"error: internal check failed: ..." on stderr instead of a traceback. Results go to --out or stdout;
 notices and errors go to stderr. Identical configurations produce
 byte-identical outputs regardless of --threads.
 """
@@ -272,7 +274,7 @@ def cmd_minimality(args: argparse.Namespace) -> int:
         {"window": (args.window, CAP_WINDOW), "m": (args.m, CAP_WINDOW), "n": (args.n, CAP_WINDOW)},
         threads=args.threads,
     )
-    report = verify_minimality(args.n, args.m, args.window, variant=args.variant, threads=args.threads)
+    report = verify_minimality(args.n, args.m, args.window, variant=args.variant)
     _emit_json(report, args.out)
     return EXIT_OK if report["verdict"] == "pass" else EXIT_VIOLATION
 
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--window", type=int, default=12)
     p.add_argument("--variant", choices=VARIANTS, default="corrected")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="validated but unused: the pipeline is serial")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_minimality)
 
@@ -374,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

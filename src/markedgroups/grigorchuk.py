@@ -23,9 +23,10 @@ This requires omega not eventually constant (the tree action is not faithful
 there); constant sequences are served by the wreath model in
 :mod:`markedgroups.lamplighter` via :func:`route_constant`.
 
-The same recursion gives every element an exact key (:class:`TreeKeys`):
-the interned triple (root parity, key of section 0, key of section 1), closed
-off by the minimized automaton of the generator states.
+Every element also has an exact key (:class:`TreeKeys`): the interned triple
+(root parity, key of section 0, key of section 1). A key is multiplied by a
+letter through its sections, and the recursion closes off at the minimized
+automaton of the generator states and their pairwise products.
 """
 
 from __future__ import annotations
@@ -258,36 +259,50 @@ class TreeKeys:
     """Exact integer keys for the elements of one G_omega: equal iff equal elements.
 
     An element is determined by its root parity and its two level-1
-    sections, so the key of a word is the interned triple (root parity, key
-    of section 0, key of section 1) over the shifted omega. The Klein-reduced
-    sections of a word of length n >= 2 are shorter than n, so the recursion
-    ends at words of length <= 1 at some shift of omega: e, a and the
-    generator states. omega is eventually periodic, so these states form a
-    finite automaton. It is minimized once by Moore partition refinement and
-    each class's triple is registered up front, so a long word equal to a
-    generator (or to e) resolves to that generator's key.
+    sections over the shifted omega, so its key is the interned triple
+    (root parity, key of section 0, key of section 1). With the convention
+    g(xv) = (x ^ p) g_x(v) and words acting left to right, the product of
+    g = (p; g_0, g_1) and h = (q; h_0, h_1) is (p ^ q; g_0 h_p, g_1 h_{1-p}).
+
+    The tree handles use a key as the element itself and multiply it by one
+    letter at a time (:meth:`mul`). The sections of an element whose
+    shortest word has n >= 2 letters have shortest words of fewer letters,
+    so the recursion of a product ends at the generator states: e, a, b, c, d
+    at each shift of omega, which form a finite automaton since omega is
+    eventually periodic. The automaton is extended by the same-shift pairs
+    of states (a pair is their product, with the transition of the formula
+    above), minimized once by Moore partition refinement, and each class's
+    triple is registered up front. So a product that equals a generator (or
+    e) gets that generator's key, and a generator state times a letter is
+    read from its pair class.
 
     Keys compare only within one table, and a table serves one omega: make
-    one per handle and never share it across omegas. Lookups grow the table
-    without a lock, so use each table from one thread.
+    one per handle and never share it across omegas. Products grow the
+    table without a lock, so use each table from one thread.
     """
 
     def __init__(self, omega: OmegaWord):
         if omega.eventually_constant:
             raise EventuallyConstantError(f"omega {omega} is eventually constant; tree keys need a faithful action")
         n = len(omega.preperiod) + len(omega.period)
-        self._omegas = [omega]
+        omegas = [omega]
         for _ in range(n - 1):
-            self._omegas.append(self._omegas[-1].shift())
+            omegas.append(omegas[-1].shift())
         # shift index of omega.shift(): past the end, wrap to the period start
         self._next = list(range(1, n)) + [len(omega.preperiod)]
 
-        # the automaton: state (word, shift) -> (parity, section states)
-        states = [(w, j) for j in range(n) for w in ("", "a", "b", "c", "d")]
+        # the automaton: state -> (parity, section state 0, section state 1);
+        # a generator state is (word, shift), a pair is (state, state)
+        singles = [(w, j) for j in range(n) for w in ("", "a", "b", "c", "d")]
         succ = {}
-        for w, j in states:
-            w0, w1 = _scan_sections(w, self._omegas[j])
+        for w, j in singles:
+            w0, w1 = _scan_sections(w, omegas[j])
             succ[w, j] = (root_parity(w), (w0, self._next[j]), (w1, self._next[j]))
+        pairs = [(u, v) for u in singles for v in singles if u[1] == v[1]]
+        for u, v in pairs:
+            (pu, u0, u1), (pv, v0, v1) = succ[u], succ[v]
+            succ[u, v] = (pu ^ pv, (u0, (v0, v1)[pu]), (u1, (v1, v0)[pu]))
+        states = singles + pairs
         # Moore refinement: split blocks by (parity, block of each section)
         block = {s: succ[s][0] for s in states}
         while True:
@@ -297,32 +312,41 @@ class TreeKeys:
             block = refined
             if stable:
                 break
-        self._state = block
         # one triple per class, since distinct classes are distinct elements
         self._intern: dict[tuple[int, int, int], int] = {}
+        self._triples: list[tuple[int, int, int]] = [(0, 0, 0)] * len(ids)
         for s in states:
-            self._intern[succ[s][0], block[succ[s][1]], block[succ[s][2]]] = block[s]
-        self._memo: dict[tuple[str, int], int] = {}
+            triple = (succ[s][0], block[succ[s][1]], block[succ[s][2]])
+            self._intern[triple] = block[s]
+            self._triples[block[s]] = triple
+        self.identity = block["", 0]
+        # a letter's transition, and the products of generator states with a
+        # letter, which end the recursion of mul
+        self._letters = {(x, j): (succ[x, j][0], succ[x, j][1][0], succ[x, j][2][0]) for x, j in singles if x}
+        self._memo = {(block[u], v[0], u[1]): block[u, v] for u, v in pairs if v[0]}
+
+    def mul(self, k: int, letter: str, j: int = 0) -> int:
+        """Key of (element k) . letter, both over omega shifted j times."""
+        out = self._memo.get((k, letter, j))
+        if out is None:
+            p, k0, k1 = self._triples[k]
+            q, s0, s1 = self._letters[letter, j]
+            if p:
+                s0, s1 = s1, s0
+            nj = self._next[j]
+            triple = (p ^ q, self.mul(k0, s0, nj) if s0 else k0, self.mul(k1, s1, nj) if s1 else k1)
+            out = self._intern.get(triple)
+            if out is None:
+                out = self._intern[triple] = len(self._triples)
+                self._triples.append(triple)
+            self._memo[k, letter, j] = out
+        return out
 
     def key(self, w: str) -> int:
-        """Key of a word over a, b, c, d, Klein-reduced or not.
-
-        Only the sections are reduced: the tree handles' products are
-        reduced already, and an a-free word of two or more letters shrinks
-        under reduction, so the recursion ends either way.
-        """
-        return self._key(w, 0)
-
-    def _key(self, w: str, j: int) -> int:
-        if len(w) <= 1:
-            return self._state[w, j]
-        k = self._memo.get((w, j))
-        if k is None:
-            w0, w1 = _scan_sections(w, self._omegas[j])
-            nj = self._next[j]
-            triple = (root_parity(w), self._key(klein_reduce(w0), nj), self._key(klein_reduce(w1), nj))
-            k = self._intern.setdefault(triple, len(self._intern))
-            self._memo[w, j] = k
+        """Key of a word over a, b, c, d, reduced or not: a fold of mul."""
+        k = self.identity
+        for x in w:
+            k = self.mul(k, x)
         return k
 
 
@@ -366,6 +390,12 @@ def translate_L_word(w: str) -> str:
     return klein_reduce("".join(out))
 
 
+@lru_cache(maxsize=128)
+def _window_omega(k: int) -> OmegaWord:
+    """The sequence 0^k(012)... of the limit window."""
+    return OmegaWord((0,) * k, (0, 1, 2))
+
+
 def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
     """Stabilized verdict for the limit of the all-zero-prefix subfamily.
 
@@ -380,7 +410,8 @@ def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
         k_range = range(base, base + 5)
     if len(k_range) < 3:
         raise ValueError("stability window needs at least 3 values")
-    verdicts = {is_trivial(w, OmegaWord((0,) * k, (0, 1, 2))) for k in k_range}
+    # w is reduced once, and 0^k(012) is never eventually constant
+    verdicts = {_is_trivial_reduced(w, _window_omega(k)) for k in k_range}
     if len(verdicts) == 1:
         return verdicts.pop()
     return None

@@ -1,19 +1,21 @@
 """Ready-made marked-group handles for the experiments.
 
-Each factory wires a triviality oracle and the element protocol (identity,
-mul, key; see :mod:`~markedgroups.marked_space`) into a MarkedGroupHandle.
-The elements are:
+Each factory wires a triviality oracle and the element protocol (identity
+and mul; see :mod:`~markedgroups.marked_space`) into a MarkedGroupHandle.
+Every element is an exact normal form, so it is its own key. The elements
+are:
 
 - lamplighter: a ``LampElement``, multiplied by a precomputed generator image
 - extension model: an ``ExtLampElement``, likewise
 - free group: the reduced letter tuple
 - trivial group: 0
-- tree groups and their x/y subgroups: the Klein-reduced a..d string, keyed
-  by a :class:`~markedgroups.grigorchuk.TreeKeys` table that the handle owns,
-  so a table serves one omega only
+- tree groups and their x/y subgroups: an int key of a
+  :class:`~markedgroups.grigorchuk.TreeKeys` table that the handle owns (so a
+  table serves one omega only), multiplied one a..d letter at a time by
+  ``TreeKeys.mul``
 
-Normal forms are their own keys. The oracles do not go through the protocol:
-they evaluate the whole word (contraction for the tree groups).
+The oracles do not go through the protocol: they evaluate the whole word
+(contraction for the tree groups).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .lamplighter import (
     lamp_t,
 )
 from .marked_space import MarkedGroupHandle, make_handle
-from .words import FreeWord, free_reduce, gen_inverse, gen_word_from_free, klein_reduce, word_to_str
+from .words import FreeWord, free_reduce, gen_inverse, gen_word_from_free, word_to_str
 
 __all__ = [
     "grig_handle",
@@ -58,11 +60,6 @@ def _as_omega(omega: OmegaWord | str) -> OmegaWord:
     return parse_omega(omega) if isinstance(omega, str) else omega
 
 
-def _normal_form(elem):
-    """Key of an element that is already a normal form: the element itself."""
-    return elem
-
-
 def _letter_images(gens, inverse) -> dict:
     """Image of every letter (index, sign) under the marking."""
     return {(i, s): g if s == 1 else inverse(g) for i, g in enumerate(gens) for s in (1, -1)}
@@ -76,14 +73,12 @@ def _tree_handle(label: str, om: OmegaWord, names: tuple[str, ...], to_tree: Cal
     def trivial(w: FreeWord) -> bool:
         return is_trivial(to_tree(w), om)
 
-    def mul(elem: str, letter) -> str:
-        # elem is reduced, and each appended letter cancels or merges with at
-        # most one letter before it, so only the last len(img) letters change
-        img = images[letter]
-        cut = max(0, len(elem) - len(img))
-        return elem[:cut] + klein_reduce(elem[cut:] + img)
+    def mul(elem: int, letter) -> int:
+        for ch in images[letter]:
+            elem = keys.mul(elem, ch)
+        return elem
 
-    return make_handle(label, names, trivial, "", mul, keys.key)
+    return make_handle(label, names, trivial, keys.identity, mul)
 
 
 def grig_handle(omega: OmegaWord | str) -> MarkedGroupHandle:
@@ -109,7 +104,7 @@ def lamplighter_handle(n: int = 2) -> MarkedGroupHandle:
     def mul(elem, letter):
         return lamp_multiply(elem, images[letter])
 
-    return make_handle(f"lamp{n}", ("s", "t"), trivial, ident, mul, _normal_form)
+    return make_handle(f"lamp{n}", ("s", "t"), trivial, ident, mul)
 
 
 def ext_model_handle(symbol: int) -> MarkedGroupHandle:
@@ -129,7 +124,7 @@ def ext_model_handle(symbol: int) -> MarkedGroupHandle:
     def mul(elem, letter):
         return ext_multiply(elem, images[letter])
 
-    return make_handle(f"G_({symbol})[model]", ("a", "b", "c", "d"), trivial, ident, mul, _normal_form)
+    return make_handle(f"G_({symbol})[model]", ("a", "b", "c", "d"), trivial, ident, mul)
 
 
 def free_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHandle:
@@ -145,11 +140,11 @@ def free_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHand
             return elem[:-1]
         return elem + (letter,)
 
-    return make_handle(f"F{k}", names, trivial, (), mul, _normal_form)
+    return make_handle(f"F{k}", names, trivial, (), mul)
 
 
 def trivial_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHandle:
     """The trivial group with k formal generators."""
     if names is None:
         names = tuple(f"g{i}" for i in range(1, k + 1))
-    return make_handle("1", names, lambda w: True, 0, lambda elem, letter: 0, _normal_form)
+    return make_handle("1", names, lambda w: True, 0, lambda elem, letter: 0)

@@ -250,19 +250,16 @@ def lamp_t_n(i: int) -> ExtLampElement:
     return val
 
 
-def _factor_k_part(u: ExtLampElement) -> tuple[LampElement, int]:
-    """Unique factorization u = (k, 0) . a^flip of the semidirect product."""
-    return u.base, u.flip
-
-
 def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int = 100, seed: int = 1729) -> dict:
     """Normal-form verification of the model's internal structure.
 
     Checks, for |i|, |j| <= window: the t_i are pairwise distinct commuting
     involutions forming the lamp row; conjugation by ab steps the index; no
-    t-product meets a nonzero power of ab; random elements factor uniquely
-    over the flip. ``corrupt_alpha`` replaces the twist by the identity map,
-    a negative control that must break the conjugation check.
+    t-product meets a nonzero power of ab; random elements factor as
+    u = a^f . k with k in the lamp part, through the twist (so a
+    non-involutive twist fails to rebuild u). ``corrupt_alpha`` replaces the
+    twist by the identity map, a negative control that must break the
+    conjugation check.
     """
     from .sampling import Lcg  # local import to keep module deps one-way
 
@@ -328,9 +325,9 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
     for _ in range(sample_count):
         lamps = {rng.randrange(2 * window + 1) - window: 1 for _ in range(rng.randrange(4))}
         u = ExtLampElement(_from_dict(2, lamps, rng.randrange(7) - 3), rng.randrange(2))
-        k_part, flip = _factor_k_part(u)
-        rebuilt = mult(ExtLampElement(k_part, 0), ExtLampElement(lamp_identity(), flip))
-        if rebuilt != u or (flip == 0) != (u.flip == 0):
+        a_f = ExtLampElement(lamp_identity(), u.flip)
+        k_part = mult(inv(a_f), u)
+        if k_part.flip != 0 or mult(a_f, k_part) != u:
             factor_ok = False
             break
     checks["unique_factorization"] = {"pass": factor_ok}

@@ -10,8 +10,9 @@ which is the contract the code below certifies.
 A handle answers in two independent ways. Its triviality oracle
 FreeWord -> bool is the specification of record (exhaustive agreement,
 relation sets, the involutive flags). Its element protocol drives the
-searches: ``identity``, ``mul(elem, letter)`` for a letter (index, sign), and
-``key(elem)``, an exact key (equal keys if and only if equal elements).
+searches: ``identity`` and ``mul(elem, letter)`` for a letter (index, sign).
+Elements are exact: hashable, and equal if and only if they are equal in the
+group, so an element is its own key.
 
 Ball construction is BFS over freely reduced words in which every class keeps
 one element, so a candidate costs one multiplication and one dict lookup. An
@@ -20,18 +21,19 @@ class-minimal representatives provably live; it does not affect answers.
 
 Comparison of two handles runs the same BFS on joint classes (equal in both
 groups). A candidate, multiplied out from the identity, either names an
-existing joint class by its pair of keys or admits a new one. One pass over
-each group's key buckets afterwards finds the conflicts: two classes sharing
-one key but not the other exhibit a word trivial in exactly one group, and
-the minimal such total length lambda pins the agreement radius exactly:
-verdicts agree on all words of length < lambda and disagree at lambda.
+existing joint class by its pair of elements or admits a new one. One pass
+over each group's element buckets afterwards finds the conflicts: two classes
+sharing one element but not the other exhibit a word trivial in exactly one
+group, and the minimal such total length lambda pins the agreement radius
+exactly: verdicts agree on all words of length < lambda and disagree at
+lambda.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, Sequence, TextIO
 
 from .words import FreeWord, empty_word, enumerate_reduced, is_square
 
@@ -63,9 +65,9 @@ class MarkedGroupHandle:
     ``involutive[i]`` promises trivial(g_i^2); it is measured by
     :func:`make_handle`, and lets ball searches skip redundant inverse
     letters. ``mul(elem, (i, sign))`` is elem . g_i^sign, starting from
-    ``identity``; ``key(elem)`` is hashable and equal for two elements exactly
-    when they are equal in the group. Keys may come from a table that grows
-    on lookup without a lock, so use a handle from one thread.
+    ``identity``; elements are hashable and compare equal exactly when they
+    are equal in the group. Elements may come from a table that grows on
+    multiplication without a lock, so use a handle from one thread.
     """
 
     label: str
@@ -73,18 +75,16 @@ class MarkedGroupHandle:
     gen_names: tuple[str, ...]
     trivial: Callable[[FreeWord], bool]
     involutive: tuple[bool, ...]
-    identity: Any
-    mul: Callable[[Any, Letter], Any]
-    key: Callable[[Any], Hashable]
+    identity: Hashable
+    mul: Callable[[Hashable, Letter], Hashable]
 
 
 def make_handle(
     label: str,
     gen_names: Sequence[str],
     trivial: Callable[[FreeWord], bool],
-    identity: Any,
-    mul: Callable[[Any, Letter], Any],
-    key: Callable[[Any], Hashable],
+    identity: Hashable,
+    mul: Callable[[Hashable, Letter], Hashable],
 ) -> MarkedGroupHandle:
     """Build a handle, measuring the involutive flags instead of trusting them.
 
@@ -96,8 +96,8 @@ def make_handle(
     flags = tuple(bool(trivial(FreeWord(((i, 1), (i, 1)), k))) for i in range(k))
     for i, flag in enumerate(flags):
         square = mul(mul(identity, (i, 1)), (i, 1))
-        assert (key(square) == key(identity)) == flag, f"element protocol disagrees with the oracle on g{i}^2"
-    return MarkedGroupHandle(label, k, tuple(gen_names), trivial, flags, identity, mul, key)
+        assert (square == identity) == flag, f"element protocol disagrees with the oracle on g{i}^2"
+    return MarkedGroupHandle(label, k, tuple(gen_names), trivial, flags, identity, mul)
 
 
 # ---------------------------------------------------------------------------
@@ -126,25 +126,24 @@ def _candidate_letters(letters: Sequence[Letter], directions: list[Letter], invo
 
 class _ClassTable:
     """Classes found so far for one side of a BFS: one element per class,
-    and for each element key the indices of the classes that have it.
+    and for each element the indices of the classes that have it.
 
-    In a single-group ball every key names one class. In a lockstep table two
-    joint classes may share a key on one side; that is what a conflict is.
+    In a single-group ball every element names one class. In a lockstep table
+    two joint classes may share an element on one side; that is what a
+    conflict is.
     """
 
     def __init__(self, handle: MarkedGroupHandle):
         self.handle = handle
-        self.elems: list[Any] = []
-        self.keys: list[Hashable] = []
+        self.elems: list[Hashable] = []
         self.buckets: dict[Hashable, list[int]] = {}
-        self.admit(handle.identity, handle.key(handle.identity))
+        self.admit(handle.identity)
 
-    def admit(self, elem: Any, key: Hashable) -> None:
-        self.buckets.setdefault(key, []).append(len(self.elems))
+    def admit(self, elem: Hashable) -> None:
+        self.buckets.setdefault(elem, []).append(len(self.elems))
         self.elems.append(elem)
-        self.keys.append(key)
 
-    def element(self, w: FreeWord) -> Any:
+    def element(self, w: FreeWord) -> Hashable:
         """The element of w, multiplied out letter by letter from the identity."""
         elem = self.handle.identity
         for letter in w.letters:
@@ -177,7 +176,7 @@ def build_ball(handle: MarkedGroupHandle, radius: int) -> CayleyBall:
     """Deterministic BFS ball of the marked group."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    mul, key = handle.mul, handle.key
+    mul = handle.mul
     table = _ClassTable(handle)
     reps = [empty_word(handle.k)]
     directions = _directions(handle.k)
@@ -189,10 +188,9 @@ def build_ball(handle: MarkedGroupHandle, radius: int) -> CayleyBall:
             rep, elem = reps[i], table.elems[i]
             for letter in _candidate_letters(rep.letters, directions, handle.involutive):
                 cand = mul(elem, letter)
-                cand_key = key(cand)
-                if cand_key not in table.buckets:
+                if cand not in table.buckets:
                     next_layer.append(len(reps))
-                    table.admit(cand, cand_key)
+                    table.admit(cand)
                     reps.append(FreeWord(rep.letters + (letter,), handle.k))
         layer = next_layer
         gamma.append(len(reps))
@@ -201,7 +199,7 @@ def build_ball(handle: MarkedGroupHandle, radius: int) -> CayleyBall:
     edges: dict[tuple[int, int], int] = {}
     for i, elem in enumerate(table.elems):
         for d, letter in enumerate(directions):
-            bucket = table.buckets.get(key(mul(elem, letter)))
+            bucket = table.buckets.get(mul(elem, letter))
             if bucket:
                 edges[(i, d)] = bucket[0]
     return CayleyBall(radius, tuple(reps), edges, tuple(gamma))
@@ -220,7 +218,7 @@ def growth_sequence(handle: MarkedGroupHandle, n_max: int) -> list[int]:
 class _LockstepResult:
     lam: int | None  # least conflict length, None if no two classes conflict
     reps: list[FreeWord]  # joint-class representatives, admission order
-    joint: dict[tuple[Hashable, Hashable], int]  # (key in h1, key in h2) -> class
+    joint: dict[tuple[Hashable, Hashable], int]  # (element in h1, element in h2) -> class
     partnered: list[bool]  # class conflicts with some other class
     t1: _ClassTable
     t2: _ClassTable
@@ -244,7 +242,7 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
     invol_both = tuple(a and b for a, b in zip(h1.involutive, h2.involutive))
 
     reps = [empty_word(h1.k)]
-    joint = {(t1.keys[0], t2.keys[0]): 0}
+    joint = {(h1.identity, h2.identity): 0}
     layer = [0]
     for _ in range(steps + 1):
         next_layer: list[int] = []
@@ -256,14 +254,13 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
                 # one multiplication per candidate gives the same answers and
                 # a 2.3x faster `converge`, but a perfbench converge pass then
                 # ends before its first 0.25 s calibration tick and the
-                # benchmark cannot time it (ROADMAP item 3).
-                c1, c2 = t1.element(w), t2.element(w)
-                pair = (h1.key(c1), h2.key(c2))
+                # benchmark cannot time it (ROADMAP item 2).
+                pair = (t1.element(w), t2.element(w))
                 if pair in joint:
                     continue
                 joint[pair] = len(reps)
-                t1.admit(c1, pair[0])
-                t2.admit(c2, pair[1])
+                t1.admit(pair[0])
+                t2.admit(pair[1])
                 next_layer.append(len(reps))
                 reps.append(w)
         layer = next_layer
@@ -276,12 +273,12 @@ def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[
     """Least conflict length lambda, and which classes conflict at all.
 
     Two joint classes conflict when they are equal in exactly one group; their
-    representatives then spell a word trivial in exactly one group. A key
-    bucket of one table is split when its classes do not all share the other
-    table's key; a class has a partner exactly when it sits in a split bucket.
+    representatives then spell a word trivial in exactly one group. A bucket
+    of one table is split when its classes do not all share the other table's
+    element; a class has a partner exactly when it sits in a split bucket.
     Buckets list classes in admission order, so their lengths never decrease:
     the shortest conflicting pair inside a split bucket is its first class
-    with the first class whose other key differs.
+    with the first class whose other element differs.
 
     Candidates that were not admitted need no pair of their own: such a word
     equals an earlier class X in both groups, so any class Y it conflicts
@@ -292,7 +289,7 @@ def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[
     for table, other in ((t1, t2), (t2, t1)):
         for bucket in table.buckets.values():
             first = bucket[0]
-            partner = next((j for j in bucket if other.keys[j] != other.keys[first]), None)
+            partner = next((j for j in bucket if other.elems[j] != other.elems[first]), None)
             if partner is None:
                 continue
             for j in bucket:
@@ -402,8 +399,7 @@ def _restricted_words(k: int, length: int, invol: tuple[bool, ...]):
 
 def _locate(res: _LockstepResult, w: FreeWord) -> int:
     """Joint class index of an arbitrary word within the lockstep horizon."""
-    pair = (res.t1.handle.key(res.t1.element(w)), res.t2.handle.key(res.t2.element(w)))
-    idx = res.joint.get(pair)
+    idx = res.joint.get((res.t1.element(w), res.t2.element(w)))
     assert idx is not None, f"word {w} not covered by the lockstep tables"
     return idx
 
@@ -420,7 +416,7 @@ def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
     word instead of two oracle calls, and a prefix whose class has no
     conflict partner is skipped outright.
     """
-    keys1, keys2 = res.t1.keys, res.t2.keys
+    elems1, elems2 = res.t1.elems, res.t2.elems
     k = res.t1.handle.k
     h = (lam + 1) // 2
     inv_class: dict[FreeWord, int] = {}
@@ -443,8 +439,8 @@ def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
             if cq is None:
                 cq = _locate(res, q.inverse())
                 inv_class[q] = cq
-            same1 = keys1[cp] == keys1[cq]
-            same2 = keys2[cp] == keys2[cq]
+            same1 = elems1[cp] == elems1[cq]
+            same2 = elems2[cp] == elems2[cq]
             if same1 != same2:
                 u = FreeWord(p.letters + q.letters, k)
                 return u, 0 if same1 else 1

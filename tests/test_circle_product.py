@@ -296,4 +296,3 @@ def test_minimality_report_shape_and_determinism():
         "verdict",
     }
     assert rep == verify_minimality(2, 1, 8)
-    assert rep == verify_minimality(2, 1, 8, threads=2)

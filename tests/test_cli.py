@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import markedgroups.cli as cli_module
 from markedgroups.cli import (
     CAP_SEPARATOR_LEN,
     CAP_TREE_RADIUS,
@@ -242,3 +243,13 @@ def test_thread_cap(capsys):
         )
         assert code == EXIT_USAGE and "cap" in err and "1..16" in err
 
+
+
+def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch):
+    def failing_check(*args):
+        raise AssertionError("lockstep tables disagree")
+
+    monkeypatch.setattr(cli_module, "agree_radius", failing_check)
+    code, out, err = run(capsys, "converge", "--jmin", "1", "--jmax", "1", "--nmax", "2")
+    assert code == EXIT_VIOLATION and out == ""
+    assert err == "error: internal check failed: lockstep tables disagree\n"

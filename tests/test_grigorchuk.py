@@ -1,6 +1,7 @@
 """Tree groups G_omega: action, sections, word problem, torsion, limits."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -243,6 +244,38 @@ def test_tree_keys_long_word_equal_to_generator():
         assert keys.key(rel + x) == keys.key(x)
         assert keys.key(x + rel) == keys.key(x)
     assert len({keys.key(x) for x in ["", "a", "b", "c", "d"]}) == 5
+
+
+@pytest.mark.parametrize("otext", ["(012)", "00000000(012)", "2(01)", "(0112)"])
+def test_tree_keys_match_word_problem_long_words(otext):
+    # words of up to 80 letters, multiplied out one letter at a time. Half of
+    # the pairs are equal by construction: v is u with a relator x^ord(x)
+    # inserted. Equal keys iff u v^-1 is trivial, and the independent oracle
+    # confirms each equal pair
+    om = parse_omega(otext)
+    keys = TreeKeys(om)
+    rng = random.Random(otext)
+    relators = []
+    for x in ("ab", "ac", "ad", "abac", "abad", "acad", "adac"):
+        order = order_of(x, om, 5)
+        if order is not None and len(x) * order <= 40:
+            relators.append(x * order)
+    assert len(relators) >= 2
+    equal = 0
+    for _ in range(300):
+        u = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 40)))
+        if rng.random() < 0.5:
+            cut = rng.randint(0, len(u))
+            v = u[:cut] + rng.choice(relators) + u[cut:]
+        else:
+            v = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 80)))
+        quotient = u + gen_inverse(v)
+        same = keys.key(u) == keys.key(v)
+        assert same == is_trivial(quotient, om), (otext, u, v)
+        if same:
+            equal += 1
+            assert oracles.oracle_acts_trivially(quotient, _oracle_omega(otext), 10), (otext, u, v)
+    assert equal >= 100
 
 
 @pytest.mark.parametrize("otext", ["(012)", "2(01)", "0(021)"])

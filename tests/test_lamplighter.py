@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import markedgroups.lamplighter as lamplighter_module
 import oracles
 from markedgroups.lamplighter import (
     ExtLampElement,
@@ -215,6 +216,18 @@ def test_structure_report_negative_control():
     assert rep["verdict"] == "fail"
     failing = [k for k, c in rep["checks"].items() if not c["pass"]]
     assert failing
+
+
+def test_structure_report_catches_non_involutive_twist(monkeypatch):
+    # a^f . k' is rebuilt through the twist, so a twist whose square is not
+    # the identity cannot pass the factorization check
+    def shift_lamps(u):
+        return LampElement(u.n, tuple((p + 1, v) for p, v in u.lamps), u.shift)
+
+    monkeypatch.setattr(lamplighter_module, "alpha", shift_lamps)
+    rep = structure_report(4)
+    assert rep["checks"]["unique_factorization"] == {"pass": False}
+    assert rep["verdict"] == "fail"
 
 
 def test_structure_report_deterministic():

@@ -5,8 +5,10 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import markedgroups.grigorchuk as grigorchuk_module
 import markedgroups.handles as handles_module
 import markedgroups.lamplighter as lamplighter_module
+import markedgroups.words as words_module
 import oracles
 from markedgroups.grigorchuk import parse_omega
 from markedgroups.handles import (
@@ -32,12 +34,9 @@ from markedgroups.marked_space import (
 )
 from markedgroups.words import (
     FreeWord,
-    alternating_words,
     enumerate_reduced,
     free_concat,
-    gen_inverse,
     gen_word_from_free,
-    klein_reduce,
     word_to_str,
 )
 
@@ -63,18 +62,18 @@ def test_involutive_flags_measured():
 def test_make_handle_measures_not_trusts():
     h = make_handle(
         "z2", ("g",), lambda w: sum(s for _, s in w.letters) % 2 == 0,
-        0, lambda e, letter: (e + letter[1]) % 2, lambda e: e,
+        0, lambda e, letter: (e + letter[1]) % 2,
     )
     assert h.involutive == (True,)
 
 
 def test_make_handle_rejects_protocol_disagreeing_with_oracle():
     # Z_3 elements under a Z_2 oracle: the generator square is trivial for
-    # the oracle but not for the keys, so ball pruning would be unsound
+    # the oracle but not for the elements, so ball pruning would be unsound
     with pytest.raises(AssertionError, match="protocol"):
         make_handle(
             "bad", ("g",), lambda w: sum(s for _, s in w.letters) % 2 == 0,
-            0, lambda e, letter: (e + letter[1]) % 3, lambda e: e,
+            0, lambda e, letter: (e + letter[1]) % 3,
         )
 
 
@@ -164,9 +163,9 @@ def _element(handle, w):
 
 
 def test_handle_protocol_matches_oracle():
-    # for every factory, equal keys iff the oracle kills u v^-1; the handles
-    # are evaluated word by word in turn, so the key tables of two omegas
-    # are interleaved in one process
+    # for every factory, equal elements iff the oracle kills u v^-1; the
+    # handles are evaluated word by word in turn, so the key tables of two
+    # omegas are interleaved in one process
     tree_omegas = {"G_(012)": "(012)", "G_2(01)": "2(01)"}
     handles = [
         free_handle(2),
@@ -181,17 +180,17 @@ def test_handle_protocol_matches_oracle():
         l_subgroup_handle("(012)"),
     ]
     words = {2: list(enumerate_reduced(2, 3)), 4: list(enumerate_reduced(4, 2))}
-    keys = [{} for _ in handles]
+    elems = [{} for _ in handles]
     for position in range(max(len(ws) for ws in words.values())):
-        for h, ks in zip(handles, keys):
+        for h, es in zip(handles, elems):
             if position < len(words[h.k]):
                 w = words[h.k][position]
-                ks[w] = h.key(_element(h, w))
-    for h, ks in zip(handles, keys):
+                es[w] = _element(h, w)
+    for h, es in zip(handles, elems):
         for u in words[h.k]:
             for v in words[h.k]:
                 quotient = free_concat(u, v.inverse())
-                same = ks[u] == ks[v]
+                same = es[u] == es[v]
                 assert same == h.trivial(quotient), (h.label, u, v)
                 if same and h.label in tree_omegas:
                     om = parse_omega(tree_omegas[h.label])
@@ -199,14 +198,21 @@ def test_handle_protocol_matches_oracle():
                     assert oracles.oracle_acts_trivially(gen_word_from_free(quotient), oracle_om, 10), (h.label, u, v)
 
 
-def test_tree_mul_matches_full_reduction():
-    # mul re-reduces only the tail of the stored string; it must agree with
-    # reducing the whole concatenation, for elements longer than the image
-    for h, images in ((G012, "abcd"), (L012, ("d", "ab"))):
-        for elem in [""] + list(alternating_words(6)):
-            for i, img in enumerate(images):
-                for sign, text in ((1, img), (-1, gen_inverse(img))):
-                    assert h.mul(elem, (i, sign)) == klein_reduce(elem + text), (h.label, elem, i, sign)
+def test_tree_search_never_reduces_strings(monkeypatch):
+    # a tree element is an int key multiplied by key arithmetic, so once the
+    # handles are built no search Klein-reduces a string
+    l012, lamp = l_subgroup_handle("(012)"), lamplighter_handle(2)
+    g012, g021 = grig_handle("(012)"), grig_handle("(021)")
+
+    def no_reduction(w):
+        raise AssertionError(f"klein_reduce({w!r}) called during a search")
+
+    for module in (grigorchuk_module, handles_module, words_module):
+        monkeypatch.setattr(module, "klein_reduce", no_reduction, raising=False)
+    r = agree_radius(l012, lamp, 8)
+    assert (r.n, r.exact) == (5, True)
+    rep = find_separating_word(g012, g021, 16)
+    assert gen_word_from_free(rep.word) == oracles.SEPARATOR_012_VS_021
 
 
 # -- relation agreement: fast path vs exhaustive ------------------------------
