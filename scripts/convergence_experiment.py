@@ -2,7 +2,9 @@
 """Agreement radii of the zero-prefix subgroup family against the wreath
 model, at a deeper horizon than the quick CLI defaults. At nmax 8 the j = 0
 column is the only one the horizon resolves exactly; everything past it
-saturates, which is the convergence statement in table form."""
+saturates, which is the convergence statement in table form. Thin wrapper
+over `markedgroups converge`, so the CSV (`j,agree_N,exact`) is the one the
+command line writes."""
 
 import argparse
 import pathlib
@@ -10,8 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markedgroups.handles import l_subgroup_handle, lamplighter_handle
-from markedgroups.marked_space import convergence_table, write_convergence_csv
+from markedgroups.cli import main as cli_main
 
 
 def main() -> None:
@@ -22,21 +23,16 @@ def main() -> None:
     ap.add_argument("--out", default="results/convergence.csv")
     args = ap.parse_args()
 
-    limit = lamplighter_handle(2)
-    targets = [
-        (j, l_subgroup_handle("0" * j + "(012)"))
-        for j in range(args.jmin, args.jmax + 1)
-    ]
-    rows = convergence_table(targets, limit, args.nmax)
-
     path = pathlib.Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        write_convergence_csv(rows, fh)
-    for row in rows:
-        marker = "" if row["exact"] else " (horizon)"
-        print(f"j={row['prefix_len']}: agree_N={row['agree_N']}{marker}")
-    print(f"-> {path}")
+    code = cli_main([
+        "converge", "--jmin", str(args.jmin), "--jmax", str(args.jmax),
+        "--nmax", str(args.nmax), "--out", str(path),
+    ])
+    if code == 0:
+        print(path.read_text(), end="")
+    print(f"converge: exit {code} -> {path}")
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Write ball-growth CSV tables for the tree group, its index-2 subgroup,
-and the wreath model. Defaults match the depths used in the test suite."""
+and the wreath model. Defaults match the depths used in the test suite.
+Thin wrapper over `markedgroups growth`, so each CSV is the one the command
+line writes."""
 
 import argparse
 import pathlib
@@ -8,8 +10,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markedgroups.handles import grig_handle, l_subgroup_handle, lamplighter_handle
-from markedgroups.marked_space import growth_sequence, write_growth_csv
+from markedgroups.cli import main as cli_main
 
 
 def main() -> None:
@@ -24,16 +25,17 @@ def main() -> None:
     outdir.mkdir(parents=True, exist_ok=True)
 
     jobs = [
-        (f"growth_tree_{args.omega}.csv", grig_handle(args.omega), args.tree_nmax),
-        (f"growth_subgroup_{args.omega}.csv", l_subgroup_handle(args.omega), args.tree_nmax),
-        ("growth_lamp.csv", lamplighter_handle(2), args.model_nmax),
+        (f"growth_tree_{args.omega}.csv", ["--family", "grig", "--omega", args.omega], args.tree_nmax),
+        (f"growth_subgroup_{args.omega}.csv", ["--family", "l", "--omega", args.omega], args.tree_nmax),
+        ("growth_lamp.csv", ["--family", "lamp"], args.model_nmax),
     ]
-    for name, handle, nmax in jobs:
-        gamma = growth_sequence(handle, nmax)
+    worst = 0
+    for name, family, nmax in jobs:
         path = outdir / name
-        with open(path, "w", newline="") as fh:
-            write_growth_csv(gamma, fh)
-        print(f"{handle.label}: gamma = {gamma} -> {path}")
+        code = cli_main(["growth", *family, "--nmax", str(nmax), "--out", str(path)])
+        print(f"growth {' '.join(family)}: exit {code} -> {path}")
+        worst = max(worst, code)
+    sys.exit(worst)
 
 
 if __name__ == "__main__":

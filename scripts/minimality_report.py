@@ -2,16 +2,17 @@
 """Run the presentation-minimality pipeline over a small (n, m) grid in both
 sequence variants and summarize the verdicts. The original recurrence is
 expected to fail its difference-window clause for every m >= 2 (and m = 1);
-the corrected one should pass everywhere."""
+the corrected one should pass everywhere. Thin wrapper over
+`markedgroups minimality`, so each JSON report is the one the command line
+writes; exit 0 there means the verdict is pass."""
 
 import argparse
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markedgroups.circle_product import VARIANTS, verify_minimality
+from markedgroups.cli import VARIANTS, main as cli_main
 
 
 def main() -> None:
@@ -25,19 +26,18 @@ def main() -> None:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    summary = []
+    failed_corrected = False
     for variant in VARIANTS:
         for n in range(2, args.nmax + 1):
             for m in range(1, args.mmax + 1):
-                rep = verify_minimality(n, m, args.window, variant=variant)
-                name = f"minimality_{variant}_n{n}_m{m}.json"
-                with open(outdir / name, "w") as fh:
-                    json.dump(rep, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                summary.append((variant, n, m, rep["verdict"]))
-                print(f"{variant} n={n} m={m}: {rep['verdict']}")
+                path = outdir / f"minimality_{variant}_n{n}_m{m}.json"
+                code = cli_main([
+                    "minimality", "--n", str(n), "--m", str(m), "--window", str(args.window),
+                    "--variant", variant, "--out", str(path),
+                ])
+                print(f"{variant} n={n} m={m}: exit {code} -> {path}")
+                failed_corrected |= variant == "corrected" and code != 0
 
-    failed_corrected = [s for s in summary if s[0] == "corrected" and s[3] != "pass"]
     sys.exit(1 if failed_corrected else 0)
 
 

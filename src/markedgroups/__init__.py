@@ -5,7 +5,7 @@ Five largely independent layers:
 words          free and involutive-alphabet words, Klein four-group reduction
 grigorchuk     the sequence-parameterized tree groups, their word problem
 lamplighter    exact wreath-product models and the four-letter dictionary
-marked_space   Cayley balls, agreement radii, separators, convergence tables
+marked_space   Cayley balls, growth, agreement radii, separating words
 circle_product graph products over difference-set graphs, minimality evidence
 
 The cli module exposes the experiments as subcommands.
@@ -63,14 +63,9 @@ from .marked_space import (
     SeparatorReport,
     agree_radius,
     build_ball,
-    convergence_table,
     find_separating_word,
     growth_sequence,
     make_handle,
-    relation_agreement,
-    relation_agreement_exhaustive,
-    relation_set,
-    write_convergence_csv,
     write_growth_csv,
 )
 from .handles import (
@@ -89,7 +84,6 @@ from .circle_product import (
     commutator_trivial,
     gp_reduce,
     in_difference_set,
-    racg_matrix_oracle,
     ts_adjacent,
     verify_difference_window,
     verify_minimality,

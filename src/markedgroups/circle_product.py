@@ -42,7 +42,6 @@ __all__ = [
     "x_gen",
     "y_gen",
     "commutator_trivial",
-    "racg_matrix_oracle",
     "verify_minimality",
 ]
 
@@ -345,47 +344,6 @@ def commutator_trivial(i: int, spec: SSpec, n: int) -> bool:
     assert verdict == predicted, f"reduction and T_S edge disagree at i={i}"
     assert predicted == in_difference_set(i, spec), "edge test must be translation invariant"
     return verdict
-
-
-# ---------------------------------------------------------------------------
-# Independent matrix oracle for n = 2 (right-angled Coxeter case)
-
-
-def racg_matrix_oracle(w: GPWord, spec: SSpec, window: tuple[int, int]) -> bool:
-    """True iff w is the identity, decided in the reflection representation.
-
-    Vertices inside the window index coordinates; the bilinear form has 1 on
-    the diagonal, 0 for T_S-adjacent pairs and -1 otherwise, and each
-    generator maps to an exact integer reflection matrix. Faithful for
-    right-angled Coxeter groups, hence independent of the rewriting.
-
-    The reflection of vertex v is the identity with row v replaced by
-    e_v - 2 B[v], so multiplying by it on the right changes each row of the
-    product by a multiple of B[v]: row[j] -= 2 row[v] B[v][j].
-    """
-    if w.n != 2:
-        raise ValueError("matrix oracle requires modulus 2")
-    lo, hi = window
-    verts = list(range(lo, hi + 1))
-    for v, _ in w.syllables:
-        if not lo <= v <= hi:
-            raise ValueError(f"vertex {v} outside window [{lo}, {hi}]")
-    size = len(verts)
-    bform = [
-        [1 if a == b else 0 if ts_adjacent(verts[a], verts[b], spec) else -1 for b in range(size)]
-        for a in range(size)
-    ]
-    identity = [[int(i == j) for j in range(size)] for i in range(size)]
-    prod = [row[:] for row in identity]
-    for v, e in w.syllables:
-        assert e == 1
-        brow = bform[v - lo]
-        for row in prod:
-            c = 2 * row[v - lo]
-            if c:
-                for j, bj in enumerate(brow):
-                    row[j] -= c * bj
-    return prod == identity
 
 
 # ---------------------------------------------------------------------------

@@ -357,9 +357,11 @@ class TreeKeys:
 def order_of(w: str, omega: OmegaWord, max_exp: int = 10) -> int | None:
     """Order of w when it is a power of two <= 2^max_exp, else None.
 
-    Repeated squaring: the family is torsion (every element has 2-power
-    order) for the sequences this package accepts, so None signals only that
-    max_exp was too small.
+    Repeated squaring. G_omega is a 2-group exactly when each of 0, 1 and 2
+    occurs in the period of omega (Grigorchuk 1984); only then does None
+    signal just that max_exp was too small. Otherwise None may mean infinite
+    order: in G_(01), b = (a, b) at every level, so (ab)^2 = (ba, ab) over
+    the shifted sequence and ab has infinite order.
     """
     cur = klein_reduce(w)
     if is_trivial(cur, omega):

@@ -8,9 +8,10 @@ groups deciding every freely reduced word of length <= 2N+1 the same way,
 which is the contract the code below certifies.
 
 A handle answers in two independent ways. Its triviality oracle
-FreeWord -> bool is the specification of record (exhaustive agreement,
-relation sets, the involutive flags). Its element protocol drives the
-searches: ``identity`` and ``mul(elem, letter)`` for a letter (index, sign).
+FreeWord -> bool is the specification of record: it measures the
+involutive flags, and enumerating words against it is the slow check of
+every search result. Its element protocol drives the searches:
+``identity`` and ``mul(elem, letter)`` for a letter (index, sign).
 Elements are exact: hashable, and equal if and only if they are equal in the
 group, so an element is its own key.
 
@@ -35,7 +36,7 @@ import csv
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence, TextIO
 
-from .words import FreeWord, empty_word, enumerate_reduced, is_square
+from .words import FreeWord, empty_word, is_square
 
 __all__ = [
     "MarkedGroupHandle",
@@ -43,16 +44,11 @@ __all__ = [
     "CayleyBall",
     "build_ball",
     "growth_sequence",
-    "relation_agreement",
-    "relation_agreement_exhaustive",
     "AgreeRadius",
     "agree_radius",
-    "relation_set",
-    "convergence_table",
     "SeparatorReport",
     "find_separating_word",
     "write_growth_csv",
-    "write_convergence_csv",
 ]
 
 Letter = tuple[int, int]  # (generator index, sign)
@@ -300,25 +296,6 @@ def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[
     return lam, partnered
 
 
-def relation_agreement(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> bool:
-    """True iff every freely reduced word of length <= max_len gets the same
-    triviality verdict from both handles."""
-    if max_len == 0:
-        return True
-    lam = _lockstep(h1, h2, max_len).lam
-    return lam is None or lam > max_len
-
-
-def relation_agreement_exhaustive(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> bool:
-    """Specification-of-record slow path: literal enumeration of all words."""
-    if h1.k != h2.k:
-        raise ValueError("generator counts differ")
-    for w in enumerate_reduced(h1.k, max_len):
-        if h1.trivial(w) != h2.trivial(w):
-            return False
-    return True
-
-
 @dataclass(frozen=True, slots=True)
 class AgreeRadius:
     """Largest N with ball-N agreement, and whether that is exact.
@@ -343,24 +320,6 @@ def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int) -> Ag
     if lam is None:
         return AgreeRadius(n_max, False)
     return AgreeRadius(min((lam - 2) // 2, n_max), True)
-
-
-def relation_set(handle: MarkedGroupHandle, max_len: int) -> set[FreeWord]:
-    """Exactly the trivial freely reduced words of length <= max_len."""
-    return {w for w in enumerate_reduced(handle.k, max_len) if handle.trivial(w)}
-
-
-def convergence_table(
-    targets: Sequence[tuple[int, MarkedGroupHandle]],
-    limit_handle: MarkedGroupHandle,
-    n_max: int,
-) -> list[dict]:
-    """agree_radius of each (prefix_len, handle) against the limit handle."""
-    rows = []
-    for index, (prefix_len, handle) in enumerate(targets):
-        r = agree_radius(handle, limit_handle, n_max)
-        rows.append({"index": index, "prefix_len": prefix_len, "agree_N": r.n, "exact": r.exact})
-    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -469,11 +428,3 @@ def write_growth_csv(gamma: Sequence[int], out: TextIO) -> None:
     writer.writerow(["n", "gamma"])
     for n, g in enumerate(gamma):
         writer.writerow([n, g])
-
-
-def write_convergence_csv(rows: Sequence[dict], out: TextIO) -> None:
-    """Rows index,prefix_len,agree_N,exact with a header."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index", "prefix_len", "agree_N", "exact"])
-    for row in rows:
-        writer.writerow([row["index"], row["prefix_len"], row["agree_N"], str(row["exact"]).lower()])

@@ -9,6 +9,7 @@ evidence, not circularity. Frozen constants were computed from these oracles
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 # ---------------------------------------------------------------------------
 # Frozen constants
@@ -216,6 +217,32 @@ def brute_gamma_lamp(n_max: int) -> list[int]:
     return gamma
 
 
+def lamp_gamma_closed_form(n_max: int) -> list[int]:
+    """Ball sizes of Z_2 wr Z marked (s, t), counted without enumeration.
+
+    An element (lit lamp set A, cursor z) has length |A| plus the shortest
+    cursor walk from 0 to z that visits every lit lamp: with lo and hi the
+    ends of A, 0 and z, that walk costs 2 (hi - lo) - |z| (Cleary-Taback,
+    Dead end words in lamplighter groups, 2005). So sum over (lo, hi, z):
+    an end away from both 0 and z must itself be lit, and each of the other
+    ``free`` positions of [lo, hi] is lit or not, C(free, i) ways for i lit.
+    """
+    counts = [0] * (n_max + 1)  # counts[n]: elements of length exactly n
+    for lo in range(-n_max, 1):
+        for hi in range(n_max + lo + 1):
+            for z in range(lo, hi + 1):
+                walk = 2 * (hi - lo) - abs(z)
+                forced = (lo < min(0, z)) + (hi > max(0, z))
+                free = hi - lo + 1 - forced
+                for i in range(n_max - walk - forced + 1):
+                    counts[walk + forced + i] += comb(free, i)
+    gamma, total = [], 0
+    for c in counts:
+        total += c
+        gamma.append(total)
+    return gamma
+
+
 def brute_free_counts(rank: int, n_max: int) -> list[int]:
     """Ball sizes in the free group: direct non-backtracking enumeration."""
     counts = [1]
@@ -226,3 +253,39 @@ def brute_free_counts(rank: int, n_max: int) -> list[int]:
         counts.append(total)
         layer *= 2 * rank - 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Reflection-matrix oracle for right-angled Coxeter groups
+
+def racg_matrix_oracle(syllables, adjacent, window: tuple[int, int]) -> bool:
+    """True iff the product of the vertex involutions is the identity.
+
+    ``syllables`` are (vertex, exponent) pairs with exponent 1 (modulus 2);
+    ``adjacent(v1, v2)`` says whether two vertices commute. Vertices inside
+    the window index coordinates; the bilinear form has 1 on the diagonal, 0
+    for adjacent pairs and -1 otherwise, and each vertex acts by an exact
+    integer reflection. The representation is faithful for right-angled
+    Coxeter groups, so the verdict does not depend on any rewriting.
+
+    The reflection of vertex v is the identity with row v replaced by
+    e_v - 2 B[v], so multiplying by it on the right changes each row of the
+    product by a multiple of B[v]: row[j] -= 2 row[v] B[v][j].
+    """
+    lo, hi = window
+    for v, e in syllables:
+        assert e == 1, "the matrix oracle is for involutions (modulus 2) only"
+        if not lo <= v <= hi:
+            raise ValueError(f"vertex {v} outside window [{lo}, {hi}]")
+    verts = range(lo, hi + 1)
+    bform = [[1 if a == b else 0 if adjacent(a, b) else -1 for b in verts] for a in verts]
+    identity = [[int(i == j) for j in range(len(verts))] for i in range(len(verts))]
+    prod = [row[:] for row in identity]
+    for v, _ in syllables:
+        brow = bform[v - lo]
+        for row in prod:
+            c = 2 * row[v - lo]
+            if c:
+                for j, bj in enumerate(brow):
+                    row[j] -= c * bj
+    return prod == identity

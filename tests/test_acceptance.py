@@ -17,7 +17,6 @@ from markedgroups.circle_product import (
     GPWord,
     SSpec,
     gp_reduce,
-    racg_matrix_oracle,
     ts_predicate,
     verify_minimality,
 )
@@ -34,7 +33,7 @@ from markedgroups.handles import (
     lamplighter_handle,
 )
 from markedgroups.lamplighter import ext_identity, eval_abcd_word, structure_report
-from markedgroups.marked_space import build_ball, convergence_table, growth_sequence
+from markedgroups.marked_space import build_ball, growth_sequence
 from markedgroups.sampling import DEFAULT_SEED, Lcg, sample_alternating_word, sample_omega
 from markedgroups.words import (
     alternating_words,
@@ -159,12 +158,14 @@ def test_criterion_04_structure_report():
             assert rep["checks"][name]["pass"], name
 
 
-def test_criterion_05_convergence_to_the_model():
+def test_criterion_05_convergence_to_the_model(tmp_path):
     with criterion(5, 900):
-        limit = lamplighter_handle(2)
-        targets = [(j, l_subgroup_handle("0" * j + "(012)")) for j in range(1, 7)]
-        rows = convergence_table(targets, limit, 4)
-        radii = [row["agree_N"] for row in rows]
+        code, blob = _run_cli_to_file(tmp_path, "converge.csv", "converge", "--jmin", "1", "--jmax", "6", "--nmax", "4")
+        assert code == 0
+        header, *rows = blob.decode().splitlines()
+        assert header == "j,agree_N,exact"
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, 7))
+        radii = [int(row.split(",")[1]) for row in rows]
         assert radii == sorted(radii), radii  # the hard requirement
         assert radii[-1] >= 2, radii
 
@@ -264,8 +265,7 @@ def test_criterion_09_minimality_grid():
 
 
 def _matrix_comparison_report(seed):
-    spec = SSpec(2, "corrected")
-    adj = ts_predicate(spec)
+    adj = ts_predicate(SSpec(2, "corrected"))
     rng = Lcg(seed)
     rows = []
     for _ in range(1000):
@@ -275,7 +275,7 @@ def _matrix_comparison_report(seed):
         )
         w = GPWord(syllables, 2)
         reduced_empty = len(gp_reduce(w, adj).syllables) == 0
-        matrix_empty = racg_matrix_oracle(w, spec, (-4, 4))
+        matrix_empty = oracles.racg_matrix_oracle(syllables, adj, (-4, 4))
         rows.append(
             {"syllables": list(map(list, syllables)), "reduced": reduced_empty, "matrix": matrix_empty}
         )

@@ -16,7 +16,6 @@ from markedgroups.circle_product import (
     gp_syllable,
     gp_translate,
     in_difference_set,
-    racg_matrix_oracle,
     ts_adjacent,
     ts_predicate,
     verify_difference_window,
@@ -212,31 +211,26 @@ def test_gp_syllable_normalizes_exponent():
 
 def test_matrix_oracle_agrees_with_reduction():
     rng = Lcg(9)
-    spec = M2_CORR
-    adj = _adj(spec)
+    adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 10)
         reduced_empty = len(gp_reduce(w, adj).syllables) == 0
-        assert reduced_empty == racg_matrix_oracle(w, spec, (-4, 4)), w
+        assert reduced_empty == oracles.racg_matrix_oracle(w.syllables, adj, (-4, 4)), w
         # and a guaranteed identity built from the same sample
         ww = gp_concat(w, gp_inverse(w))
-        assert racg_matrix_oracle(ww, spec, (-4, 4))
+        assert oracles.racg_matrix_oracle(ww.syllables, adj, (-4, 4))
         assert len(gp_reduce(ww, adj).syllables) == 0
 
 
 def test_matrix_oracle_frozen_cases():
-    spec = M2_CORR
-    n = 2
-    assert racg_matrix_oracle(gp_empty(n), spec, (-2, 2))
-    assert not racg_matrix_oracle(gp_syllable(0, 1, n), spec, (-2, 2))
-    ss = gp_concat(gp_syllable(0, 1, n), gp_syllable(0, 1, n))
-    assert racg_matrix_oracle(ss, spec, (-2, 2))
+    adj = _adj(M2_CORR)
+    assert oracles.racg_matrix_oracle((), adj, (-2, 2))
+    assert not oracles.racg_matrix_oracle(((0, 1),), adj, (-2, 2))
+    assert oracles.racg_matrix_oracle(((0, 1), (0, 1)), adj, (-2, 2))
     # commutator of adjacent vertices is trivial, of non-adjacent not
-    com_adj = gp_concat(
-        gp_concat(gp_syllable(0, 1, n), gp_syllable(1, 1, n)),
-        gp_concat(gp_syllable(0, 1, n), gp_syllable(1, 1, n)),
-    )
-    assert racg_matrix_oracle(com_adj, spec, (-2, 2))
+    assert adj(0, 1) and not adj(0, 2)
+    assert oracles.racg_matrix_oracle(((0, 1), (1, 1), (0, 1), (1, 1)), adj, (-2, 2))
+    assert not oracles.racg_matrix_oracle(((0, 1), (2, 1), (0, 1), (2, 1)), adj, (-2, 2))
 
 
 # -- the W group and minimality reports ---------------------------------------

@@ -1,8 +1,11 @@
 """Command-line surface: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import markedgroups.cli as cli_module
 from markedgroups.cli import (
@@ -253,3 +256,53 @@ def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "converge", "--jmin", "1", "--jmax", "1", "--nmax", "2")
     assert code == EXIT_VIOLATION and out == ""
     assert err == "error: internal check failed: lockstep tables disagree\n"
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+OMEGAS = st.one_of(
+    st.sampled_from(("(012)", "(021)", "0(12)", "2(01)", "(0)", "1(0)")),
+    st.text(alphabet="0123()x ", max_size=6),
+)
+WORDS = st.text(alphabet="abcdstxyABS ?", max_size=8)
+FLAGS = {
+    "wp": {"--family": st.sampled_from(("grig", "lamp", "limit", "tree")), "--omega": OMEGAS,
+           "--word": WORDS, "--modulus": st.integers(-1, 4)},
+    "growth": {"--family": st.sampled_from(("grig", "l", "lamp")), "--omega": OMEGAS,
+               "--modulus": st.integers(-1, 4), "--nmax": st.integers(-1, 3), "--threads": st.integers(-1, 3)},
+    "converge": {"--jmin": st.integers(-1, 2), "--jmax": st.integers(-1, 2), "--nmax": st.integers(-1, 3)},
+    "separate": {"--omega1": OMEGAS, "--omega2": OMEGAS, "--lmax": st.integers(-1, 6)},
+    "crosscheck": {"--max-len": st.integers(-1, 6), "--samples": st.integers(-1, 20), "--seed": st.integers(-1, 3),
+                   "--kmin": st.integers(-1, 6), "--kmax": st.integers(-1, 6)},
+    "minimality": {"--n": st.integers(-1, 4), "--m": st.integers(-1, 4), "--window": st.integers(-1, 6),
+                   "--variant": st.sampled_from(("original", "corrected", "other"))},
+    "structure": {"--window": st.integers(-1, 3), "--samples": st.integers(-1, 20), "--seed": st.integers(-1, 3)},
+}
+REQUIRED = {"--family", "--word", "--nmax", "--omega1", "--omega2", "--n", "--m"}
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand with its required options and some others, small values."""
+    sub = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [sub]
+    for flag, values in FLAGS[sub].items():
+        value = draw(values if flag in REQUIRED else st.none() | values)
+        if value is not None:
+            argv += [flag, str(value)]
+    if sub == "structure" and draw(st.booleans()):
+        argv.append("--negative-control")
+    return argv
+
+
+@settings(max_examples=150)
+@given(argv=cli_argv())
+def test_fuzzed_arguments_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the argument list
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_DOMAIN), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -179,6 +179,15 @@ def test_orders_are_powers_of_two():
         assert n is not None and n & (n - 1) == 0
 
 
+def test_order_of_is_none_off_the_torsion_family():
+    # (01) misses the symbol 2, so G_(01) is not torsion: b = (a, b) at every
+    # level, (ab)^2 = (ba, ab) and ab has infinite order; no max_exp helps
+    om01 = parse_omega("(01)")
+    assert order_of("ab", om01, max_exp=12) is None
+    assert order_of("abad", parse_omega("0(12)"), 12) is None
+    assert "ab" in sections("abab", om01)  # the self-similar certificate
+
+
 # -- limits and constant routing ----------------------------------------------
 
 def test_translate_L_word():
@@ -280,8 +289,8 @@ def test_tree_keys_match_word_problem_long_words(otext):
 
 @pytest.mark.parametrize("otext", ["(012)", "2(01)", "0(021)"])
 def test_tree_keys_need_no_top_level_reduction(otext):
-    # key() reduces only the sections, so every word of length <= 6, reduced
-    # or not, must get the key of its Klein normal form
+    # key() is a fold of mul and reduces nothing, so every word of length
+    # <= 6, reduced or not, must get the key of its Klein normal form
     keys = TreeKeys(parse_omega(otext))
     words = ["".join(p) for n in range(7) for p in itertools.product("abcd", repeat=n)]
     assert len(words) == 5461

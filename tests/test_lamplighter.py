@@ -230,6 +230,32 @@ def test_structure_report_catches_non_involutive_twist(monkeypatch):
     assert rep["verdict"] == "fail"
 
 
+def _reflect_keeping_shift(u):
+    # reflects the lamps like alpha but fixes t instead of inverting it
+    return LampElement(u.n, tuple(sorted((1 - p, v) for p, v in u.lamps)), u.shift)
+
+
+# check -> (module global to corrupt, its replacement)
+CORRUPTIONS = {
+    "t_distinct": ("t_n_word", lambda i: "d"),
+    "t_commute": ("t_n_word", lambda i: "a" if i == 0 else t_n_word(i)),
+    "conjugation_steps_index": ("t_n_word", lambda i: t_n_word(2 * i)),
+    "shift_separates_ab_powers": ("lamp_t", lambda n=2: lamp_identity(n)),
+    "defining_relations": ("alpha", _reflect_keeping_shift),
+    "metabelian_commutators": ("lamp_commutator", lamp_multiply),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CORRUPTIONS))
+def test_structure_report_check_can_fail(check, monkeypatch):
+    # every check has a corruption of the model that it reports
+    name, replacement = CORRUPTIONS[check]
+    monkeypatch.setattr(lamplighter_module, name, replacement)
+    rep = structure_report(4)
+    assert rep["checks"][check]["pass"] is False
+    assert rep["verdict"] == "fail"
+
+
 def test_structure_report_deterministic():
     assert structure_report(3) == structure_report(3)
 

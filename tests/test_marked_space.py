@@ -22,14 +22,9 @@ from markedgroups.handles import (
 from markedgroups.marked_space import (
     agree_radius,
     build_ball,
-    convergence_table,
     find_separating_word,
     growth_sequence,
     make_handle,
-    relation_agreement,
-    relation_agreement_exhaustive,
-    relation_set,
-    write_convergence_csv,
     write_growth_csv,
 )
 from markedgroups.words import (
@@ -86,6 +81,12 @@ def test_growth_frozen_free():
 def test_growth_frozen_lamp_vs_brute():
     assert growth_sequence(LAMP, 2) == list(oracles.GAMMA_LAMP)
     assert growth_sequence(LAMP, 4) == oracles.brute_gamma_lamp(4)
+
+
+def test_lamp_growth_closed_form():
+    # the closed form counts lamp configurations; brute force enumerates words
+    assert oracles.lamp_gamma_closed_form(6) == oracles.brute_gamma_lamp(6)
+    assert growth_sequence(lamplighter_handle(2), 14) == oracles.lamp_gamma_closed_form(14)
 
 
 def test_growth_frozen_tree_vs_brute():
@@ -227,26 +228,29 @@ PAIRS = [
 ]
 
 
+def _agree(h1, h2, max_len):
+    """Every freely reduced word of length <= max_len gets one verdict."""
+    return find_separating_word(h1, h2, max_len).word is None
+
+
 @pytest.mark.parametrize("h1,h2", PAIRS)
 @pytest.mark.parametrize("max_len", [0, 1, 2, 3, 4, 5])
 def test_lockstep_matches_exhaustive(h1, h2, max_len):
-    assert relation_agreement(h1, h2, max_len) == relation_agreement_exhaustive(
-        h1, h2, max_len
-    )
+    assert _agree(h1, h2, max_len) == (_first_by_enumeration(h1, h2, max_len) is None)
 
 
 @pytest.mark.parametrize("h1,h2", PAIRS)
 def test_relation_agreement_symmetric_and_monotone(h1, h2):
     prev = True
     for L in range(5):
-        cur = relation_agreement(h1, h2, L)
-        assert cur == relation_agreement(h2, h1, L)
+        cur = _agree(h1, h2, L)
+        assert cur == _agree(h2, h1, L)
         assert prev or not cur  # once false, stays false
         prev = cur
 
 
 def test_relation_set_lamp_frozen():
-    rels = relation_set(LAMP, 2)
+    rels = {w for w in enumerate_reduced(2, 2) if LAMP.trivial(w)}
     texts = {word_to_str(w, ("s", "t")) for w in rels}
     assert texts == oracles.LAMP_RELATION_SET_L2
 
@@ -278,11 +282,6 @@ def test_agree_radius_ultrametric_spot():
     n23 = agree_radius(G021, MODEL0, 8).n
     n13 = agree_radius(G012, MODEL0, 8).n
     assert n13 >= min(n12, n23)
-
-
-def test_convergence_rows_shape():
-    rows = convergence_table([(1, l_subgroup_handle("0(012)"))], LAMP, 2)
-    assert rows == [{"index": 0, "prefix_len": 1, "agree_N": 2, "exact": False}]
 
 
 # -- separating words ---------------------------------------------------------
@@ -338,11 +337,3 @@ def test_growth_csv_bytes():
     buf = io.StringIO()
     write_growth_csv([1, 5, 11], buf)
     assert buf.getvalue() == "n,gamma\n0,1\n1,5\n2,11\n"
-
-
-def test_convergence_csv_bytes():
-    buf = io.StringIO()
-    write_convergence_csv(
-        [{"index": 0, "prefix_len": 1, "agree_N": 3, "exact": True}], buf
-    )
-    assert buf.getvalue() == "index,prefix_len,agree_N,exact\n0,1,3,true\n"

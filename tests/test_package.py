@@ -33,19 +33,19 @@ def test_all_exports_resolve(name):
 def test_star_import_of_the_package():
     namespace: dict = {}
     exec("from markedgroups import *", namespace)
-    assert "is_trivial" in namespace and "racg_matrix_oracle" in namespace
+    assert "is_trivial" in namespace and "verify_minimality" in namespace
 
 
 def test_package_does_not_load_numpy():
-    # every submodule imported and the matrix oracle run once, in a fresh
+    # every submodule imported and one minimality command run, in a fresh
     # interpreter: the package runs on the standard library alone
     code = "\n".join(
         [
-            "import importlib, sys",
+            "import importlib, os, sys",
             f"for name in {MODULES!r}:",
             "    importlib.import_module(name)",
-            "from markedgroups.circle_product import SSpec, gp_syllable, racg_matrix_oracle",
-            "assert not racg_matrix_oracle(gp_syllable(0, 1, 2), SSpec(2), (-2, 2))",
+            "from markedgroups.cli import main",
+            "assert main(['minimality', '--n', '2', '--m', '2', '--window', '8', '--out', os.devnull]) == 0",
             "assert 'numpy' not in sys.modules",
         ]
     )
