@@ -34,7 +34,7 @@ from .marked_space import (
     write_growth_csv,
 )
 from .sampling import DEFAULT_SEED, Lcg, sample_alternating_word
-from .words import word_from_str, word_to_str
+from .words import gen_word_from_free, word_from_str, word_to_str
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -122,7 +122,7 @@ def cmd_wp(args: argparse.Namespace) -> int:
         w = word_from_str(args.word, ("s", "t"))
         verdict = "trivial" if handle.trivial(w) else "nontrivial"
     else:  # limit
-        result = limit_trivial(args.word)
+        result = limit_trivial(gen_word_from_free(word_from_str(args.word, ("a", "b", "c", "d"))))
         verdict = "unstable" if result is None else ("trivial" if result else "nontrivial")
     _emit(verdict + "\n", args.out)
     return EXIT_OK

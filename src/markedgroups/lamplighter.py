@@ -25,6 +25,14 @@ so that the product ab evaluates to (t, no flip). Other dead letters are
 served by relabeling (see grigorchuk.route_constant). The three dictionaries
 are built once at import, where all five defining relations a^2, b^2, c^2,
 d^2, bcd are verified for each of them.
+
+Words are evaluated by a fold over a state (lit, z, flip) standing for
+(lamps, z) . a^flip, with the lit lamps as bits of one int. Right
+multiplication by a letter's image (base, f) adds twist^flip(base) at the
+cursor: its lamps are XORed in at offsets from z, its shift is added to z,
+and f is XORed into flip. These steps are read off the dictionaries once at
+import, one table per dead letter and current flip, so the dictionaries stay
+the single definition of the model.
 """
 
 from __future__ import annotations
@@ -201,21 +209,61 @@ def abcd_images(dead_letter: str = "d") -> Mapping[str, ExtLampElement]:
 
 
 def eval_abcd_word(w: str, dead_letter: str = "d") -> ExtLampElement:
-    """Evaluate a word over a..d in the extension model."""
-    images = abcd_images(dead_letter)
-    acc = ext_identity()
+    """Evaluate a word over a..d in the extension model.
+
+    One pass over the word with the state (lit, z, flip) of the module
+    docstring; lamp position p is bit p + len(w) + 1 of ``lit``, which keeps
+    every bit index positive since |z| never exceeds the letters read. Only
+    the final value is built as an element.
+    """
+    abcd_images(dead_letter)  # rejects a bad dead letter
+    steps = _STEPS[dead_letter]
+    offset = len(w) + 1
+    lit = z = flip = 0
     for ch in w:
-        if ch.isspace():
-            continue
-        img = images.get(ch.lower())
-        if img is None:
+        step = steps[flip].get(ch)
+        if step is None:
+            if ch.isspace():
+                continue
             raise ValueError(f"letter {ch!r} not in alphabet abcd")
-        acc = ext_multiply(acc, img)  # every generator is an involution
-    return acc
+        mask, dz, df = step
+        if mask:
+            lit ^= mask << (z + offset)
+        z += dz
+        flip ^= df
+    lamps = []
+    while lit:
+        low = lit & -lit
+        lamps.append((low.bit_length() - 1 - offset, 1))
+        lit ^= low
+    return ExtLampElement(LampElement(2, tuple(lamps), z), flip)
+
+
+def _step_tables() -> dict[str, tuple[dict[str, tuple[int, int, int]], ...]]:
+    """Per dead letter and current flip, each letter's (lamp mask, shift, flip).
+
+    Bit j of the mask is the lamp at z + j, relative to the cursor z; upper
+    case letters are the same involutions.
+    """
+    tables = {}
+    for dead, images in _ABCD_IMAGES.items():
+        per_flip = []
+        for flip in (0, 1):
+            steps = {}
+            for letter, img in images.items():
+                base = alpha(img.base) if flip else img.base
+                # keeps the bit indices of eval_abcd_word positive
+                assert all(0 <= p <= 1 for p, _ in base.lamps) and abs(base.shift) <= 1, f"step out of range: {base}"
+                step = (sum(1 << p for p, _ in base.lamps), base.shift, img.flip)
+                steps[letter] = steps[letter.upper()] = step
+            per_flip.append(steps)
+        tables[dead] = tuple(per_flip)
+    return tables
 
 
 _RELATIONS = ("aa", "bb", "cc", "dd", "bcd")
 _ABCD_IMAGES = _dictionaries()
+_STEPS = _step_tables()
 
 
 def _verify_dictionaries() -> None:
@@ -223,6 +271,12 @@ def _verify_dictionaries() -> None:
         for rel in _RELATIONS:
             val = eval_abcd_word(rel, dead)
             assert val == ext_identity(), f"relation {rel} fails in the {dead}-dead model: {val}"
+        # every step, from either flip, agrees with multiplying by the image
+        images = _ABCD_IMAGES[dead]
+        for x in "abcd":
+            for y in "abcd":
+                val = eval_abcd_word(x + y, dead)
+                assert val == ext_multiply(images[x], images[y]), f"step {x}{y} fails in the {dead}-dead model: {val}"
     # the product ab must land on the bare shift in the standard dictionary
     assert eval_abcd_word("ab", "d") == ExtLampElement(lamp_t(), 0)
     # alpha really is the stated automorphism: involutive, fixes the defining images

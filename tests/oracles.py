@@ -289,3 +289,44 @@ def racg_matrix_oracle(syllables, adjacent, window: tuple[int, int]) -> bool:
                 for j, bj in enumerate(brow):
                     row[j] -= c * bj
     return prod == identity
+
+
+# ---------------------------------------------------------------------------
+# Extension-model oracle: (Z_2 wr Z) x| Z_2 with lamps as a set of positions
+
+# Images of a..d when d is the dead letter, as (lit lamps, shift, flip)
+# standing for (lamps, shift) . a^flip; worked out by hand from a = flip,
+# d = the lamp at 0, b = a t and c = b d.
+ORACLE_EXT_IMAGES = {
+    "a": (frozenset(), 0, 1),
+    "b": (frozenset(), -1, 1),
+    "c": (frozenset({0}), -1, 1),
+    "d": (frozenset({0}), 0, 0),
+}
+
+
+def _ext_oracle_mult(u, v):
+    """(A, z, f)(B, y, g): a^f reflects B through 1/2 and negates y first."""
+    lamps_u, z, f = u
+    lamps_v, y, g = v
+    if f:
+        lamps_v, y = {1 - p for p in lamps_v}, -y
+    return (frozenset(lamps_u ^ {z + p for p in lamps_v}), z + y, f ^ g)
+
+
+def ext_model_oracle(word: str, dead: str = "d"):
+    """Value of an a..d word in the extension model, letter by letter.
+
+    The dead letter is the one whose spin entry is e at some symbol; it plays
+    d, and the two letters active at that symbol play b and c in
+    alphabetical order. Whitespace is skipped and upper case letters are the
+    same involutions.
+    """
+    symbol = ORACLE_SPIN[dead].index("e")
+    actives = sorted(x for x in ORACLE_SPIN if ORACLE_SPIN[x][symbol] == "a")
+    role = {"a": "a", dead: "d", actives[0]: "b", actives[1]: "c"}
+    acc = (frozenset(), 0, 0)
+    for ch in word:
+        if not ch.isspace():
+            acc = _ext_oracle_mult(acc, ORACLE_EXT_IMAGES[role[ch.lower()]])
+    return acc

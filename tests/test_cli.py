@@ -51,6 +51,20 @@ def test_wp_limit(capsys):
     assert code == EXIT_OK and out.strip() == "nontrivial"
 
 
+@pytest.mark.parametrize("spelled, plain", [("a b", "ab"), ("aBa", "aba"), ("b C\td", "bcd")])
+def test_wp_limit_parses_like_grig(capsys, spelled, plain):
+    # whitespace is skipped and upper case is the (same) involution
+    code, want, _ = run(capsys, "wp", "--family", "limit", "--word", plain)
+    assert code == EXIT_OK
+    assert run(capsys, "wp", "--family", "limit", "--word", spelled) == (EXIT_OK, want, "")
+
+
+def test_wp_limit_rejects_foreign_letters(capsys):
+    code, out, err = run(capsys, "wp", "--family", "limit", "--word", "a_b")
+    assert code == EXIT_USAGE and out == ""
+    assert "'_'" in err
+
+
 def test_wp_constant_routes_to_model(capsys):
     code, out, err = run(capsys, "wp", "--family", "grig", "--omega", "(0)", "--word", "dd")
     assert code == EXIT_OK

@@ -132,6 +132,47 @@ def test_ext_word_evaluation():
     assert eval_abcd_word("d") != ext_identity()  # d is the lamp, not trivial
 
 
+def _ext_as_oracle(u):
+    return (frozenset(p for p, _ in u.base.lamps), u.base.shift, u.flip)
+
+
+@given(
+    st.sampled_from("bcd"),
+    st.lists(st.sampled_from("abcdABCD \t"), max_size=64).map("".join),
+)
+def test_eval_abcd_word_matches_oracle_and_fold(dead, word):
+    value = eval_abcd_word(word, dead)
+    assert _ext_as_oracle(value) == oracles.ext_model_oracle(word, dead)
+    images = abcd_images(dead)
+    acc = ext_identity()
+    for ch in word:
+        if not ch.isspace():
+            acc = ext_multiply(acc, images[ch.lower()])
+    assert value == acc
+
+
+def test_eval_abcd_word_rejects_bad_input():
+    with pytest.raises(ValueError, match="'e' not in alphabet"):
+        eval_abcd_word("abe")
+    with pytest.raises(ValueError, match="dead letter"):
+        eval_abcd_word("ab", "a")
+
+
+def test_eval_abcd_word_is_one_pass(monkeypatch):
+    # the word is folded over a compact state: no element arithmetic runs
+    # per letter, so breaking it leaves the value unchanged
+    word = "".join("abcd"[pow(3, i, 101) % 4] for i in range(200))
+    want = eval_abcd_word(word, "c")
+    assert want.base.lamps
+
+    def broken(*args):
+        raise AssertionError("element arithmetic in the word fold")
+
+    for name in ("ext_multiply", "lamp_multiply", "alpha", "_from_dict"):
+        monkeypatch.setattr(lamplighter_module, name, broken)
+    assert eval_abcd_word(word, "c") == want
+
+
 def test_abcd_dictionary_relations_all_dead_letters():
     for dead in "bcd":
         images = abcd_images(dead)

@@ -1,8 +1,9 @@
 """Byte-identical CLI outputs: the benchmark's fixed commands against their
 recorded exit codes and stdout digests in perfbench/reference.json.
 
-Runs every converge, ball and certify command in-process. The crosscheck
-commands are left to the benchmark, which checks them on every pass.
+Runs every converge, ball and certify command in-process, and the crosscheck
+command for seeds 0 and 1729 (about a second each); the benchmark checks the
+crosscheck digests of the other seeds on every pass.
 """
 
 import contextlib
@@ -29,6 +30,7 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
 COMMANDS = [argv for workload in ("converge", "ball", "certify") for argv in WORKLOADS.commands(workload, 0)]
+COMMANDS += [argv for seed in (0, 1729) for argv in WORKLOADS.commands("crosscheck", seed)]
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(argv) for argv in COMMANDS])
