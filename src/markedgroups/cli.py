@@ -282,6 +282,8 @@ def cmd_minimality(args: argparse.Namespace) -> int:
 
 def cmd_structure(args: argparse.Namespace) -> int:
     _check_caps({"window": (args.window, CAP_WINDOW), "samples": (args.samples, CAP_SAMPLES)}, seed=args.seed)
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     report = structure_report(args.window, corrupt_alpha=args.negative_control, sample_count=args.samples, seed=args.seed)
     _emit_json(report, args.out)
     if args.negative_control:

@@ -6,7 +6,9 @@ Every element is an exact normal form, so it is its own key. The elements
 are:
 
 - lamplighter: a ``LampElement``, multiplied by a precomputed generator image
-- extension model: an ``ExtLampElement``, likewise
+- extension model: the (mask, low, shift, flip) state tuple of
+  :mod:`~markedgroups.lamplighter`, multiplied by one ``ext_state_mul`` with
+  the letter's image twisted ahead of time for the element's flip
 - free group: the reduced letter tuple
 - trivial group: 0
 - tree groups and their x/y subgroups: an int key of a
@@ -31,12 +33,12 @@ from .grigorchuk import (
     translate_L_word,
 )
 from .lamplighter import (
-    abcd_images,
+    EXT_STATE_IDENTITY,
     eval_abcd_word,
     eval_st_word,
     ext_identity,
-    ext_inverse,
-    ext_multiply,
+    ext_pretwisted_images,
+    ext_state_mul,
     lamp_identity,
     lamp_inverse,
     lamp_multiply,
@@ -115,16 +117,19 @@ def ext_model_handle(symbol: int) -> MarkedGroupHandle:
     """
     dead = dead_letter_for(symbol)
     ident = ext_identity()
-    gens = abcd_images(dead)
-    images = _letter_images([gens[ch] for ch in "abcd"], ext_inverse)
+    # every letter is an involution, so a letter and its inverse share an image
+    by_flip = [
+        {(i, sign): images[ch] for i, ch in enumerate("abcd") for sign in (1, -1)}
+        for images in ext_pretwisted_images(dead)
+    ]
 
     def trivial(w: FreeWord) -> bool:
         return eval_abcd_word(gen_word_from_free(w), dead) == ident
 
     def mul(elem, letter):
-        return ext_multiply(elem, images[letter])
+        return ext_state_mul(elem, by_flip[elem[3]][letter])
 
-    return make_handle(f"G_({symbol})[model]", ("a", "b", "c", "d"), trivial, ident, mul)
+    return make_handle(f"G_({symbol})[model]", ("a", "b", "c", "d"), trivial, EXT_STATE_IDENTITY, mul)
 
 
 def free_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHandle:

@@ -26,20 +26,29 @@ served by relabeling (see grigorchuk.route_constant). The three dictionaries
 are built once at import, where all five defining relations a^2, b^2, c^2,
 d^2, bcd are verified for each of them.
 
-Words are evaluated by a fold over a state (lit, z, flip) standing for
-(lamps, z) . a^flip, with the lit lamps as bits of one int. Right
-multiplication by a letter's image (base, f) adds twist^flip(base) at the
-cursor: its lamps are XORed in at offsets from z, its shift is added to z,
-and f is XORed into flip. These steps are read off the dictionaries once at
-import, one table per dead letter and current flip, so the dictionaries stay
-the single definition of the model.
+Inside the module the extension works on one normal form, a state tuple
+(mask, low, shift, flip) standing for (lamps, shift) . a^flip: bit i of mask
+is the lamp at low + i, and mask is odd, or mask and low are both 0, so equal
+elements are equal tuples. Right multiplication by (base, f) adds
+twist^flip(base) at the cursor: the masks are aligned and XORed, the shifts
+added and the flips XORed. The twist is alpha as the module global reads
+when a product or report is set up (the identity for the structure report's
+negative control), applied through ``LampElement`` once per state and
+memoised. ``ext_multiply`` and ``ext_inverse`` convert to states and back;
+the extension-model handle and the structure report multiply states
+throughout, with each letter's image twisted ahead of time for either flip.
+
+Words are evaluated by a fold over a state (lit, z, flip), with the lit
+lamps as bits of one int. Each letter's step is read off the pre-twisted
+images once at import, one table per dead letter and current flip, so the
+dictionaries stay the single definition of the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .grigorchuk import route_constant
 from .words import FreeWord
@@ -154,18 +163,91 @@ def ext_identity() -> ExtLampElement:
     return ExtLampElement(lamp_identity(), 0)
 
 
-def _ext_multiply_with(twist: Callable[[LampElement], LampElement], u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:
-    base = lamp_multiply(u.base, twist(v.base) if u.flip else v.base)
-    return ExtLampElement(base, u.flip ^ v.flip)
+ExtState = tuple[int, int, int, int]  # (mask, low, shift, flip); see the module docstring
+EXT_STATE_IDENTITY: ExtState = (0, 0, 0, 0)
+
+
+def _state(positions: Iterable[int], shift: int, flip: int) -> ExtState:
+    """The state with lamps at the given distinct positions."""
+    positions = list(positions)
+    if not positions:
+        return (0, 0, shift, flip)
+    low = min(positions)
+    return (sum(1 << (p - low) for p in positions), low, shift, flip)
+
+
+def _ext_state(u: ExtLampElement) -> ExtState:
+    return _state((p for p, _ in u.base.lamps), u.base.shift, u.flip)
+
+
+def _state_base(s: ExtState) -> LampElement:
+    mask, low, shift, _ = s
+    lamps = []
+    while mask:
+        bit = mask & -mask
+        lamps.append((low + bit.bit_length() - 1, 1))
+        mask ^= bit
+    return LampElement(2, tuple(lamps), shift)
+
+
+def _state_element(s: ExtState) -> ExtLampElement:
+    return ExtLampElement(_state_base(s), s[3])
+
+
+def ext_state_mul(u: ExtState, v: ExtState) -> ExtState:
+    """u . v for a v whose base is already twisted when u is flipped."""
+    m1, l1, z1, f1 = u
+    m2, l2, z2, f2 = v
+    if not m2:
+        return (m1, l1, z1 + z2, f1 ^ f2)
+    l2 += z1
+    if not m1:
+        return (m2, l2, z1 + z2, f1 ^ f2)
+    if l1 < l2:
+        return (m1 ^ (m2 << (l2 - l1)), l1, z1 + z2, f1 ^ f2)
+    if l2 < l1:
+        return ((m1 << (l1 - l2)) ^ m2, l2, z1 + z2, f1 ^ f2)
+    # equal lows: the low bits cancel, so drop the trailing zeros
+    mask = m1 ^ m2
+    if not mask:
+        return (0, 0, z1 + z2, f1 ^ f2)
+    tz = (mask & -mask).bit_length() - 1
+    return (mask >> tz, l1 + tz, z1 + z2, f1 ^ f2)
+
+
+def _twister(identity: bool = False) -> Callable[[ExtState], ExtState]:
+    """The twist on states, memoised per state: alpha as the module global
+    reads now, or the identity map when asked for (the negative control)."""
+    if identity:
+        return lambda s: s
+    fn = alpha
+    memo: dict[ExtState, ExtState] = {}
+
+    def twist(s: ExtState) -> ExtState:
+        t = memo.get(s)
+        if t is None:
+            t = memo[s] = _ext_state(ExtLampElement(fn(_state_base(s)), s[3]))
+        return t
+
+    return twist
+
+
+def _state_multiply(twist: Callable[[ExtState], ExtState], u: ExtState, v: ExtState) -> ExtState:
+    return ext_state_mul(u, twist(v) if u[3] else v)
+
+
+def _state_inverse(twist: Callable[[ExtState], ExtState], s: ExtState) -> ExtState:
+    mask, low, shift, flip = s
+    inv = (mask, low - shift if mask else 0, -shift, flip)
+    return twist(inv) if flip else inv
 
 
 def ext_multiply(u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:
-    return _ext_multiply_with(alpha, u, v)
+    return _state_element(_state_multiply(_twister(), _ext_state(u), _ext_state(v)))
 
 
 def ext_inverse(u: ExtLampElement) -> ExtLampElement:
-    inv = lamp_inverse(u.base)
-    return ExtLampElement(alpha(inv) if u.flip else inv, u.flip)
+    return _state_element(_state_inverse(_twister(), _ext_state(u)))
 
 
 def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
@@ -180,19 +262,19 @@ def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
     return acc
 
 
-def _abcd_images_with(twist: Callable[[LampElement], LampElement]) -> dict[str, ExtLampElement]:
-    a_img = ExtLampElement(lamp_identity(), 1)
-    d_img = ExtLampElement(lamp_s(), 0)
-    t_img = ExtLampElement(lamp_t(), 0)
-    mult = lambda u, v: _ext_multiply_with(twist, u, v)
-    b_img = mult(a_img, t_img)  # b = a.t since t = ab and a is an involution
-    c_img = mult(b_img, d_img)  # c = b.d since bcd = e
+def _abcd_states(twist: Callable[[ExtState], ExtState]) -> dict[str, ExtState]:
+    """Images of a, b, c, d with d dead, from s and t as the module reads them."""
+    a_img = (0, 0, 0, 1)
+    d_img = _ext_state(ExtLampElement(lamp_s(), 0))
+    t_img = _ext_state(ExtLampElement(lamp_t(), 0))
+    b_img = _state_multiply(twist, a_img, t_img)  # b = a.t since t = ab and a is an involution
+    c_img = _state_multiply(twist, b_img, d_img)  # c = b.d since bcd = e
     return {"a": a_img, "b": b_img, "c": c_img, "d": d_img}
 
 
 def _dictionaries() -> dict[str, Mapping[str, ExtLampElement]]:
     """Images of a, b, c, d for each dead letter, relabelled from the d-dead ones."""
-    canonical = _abcd_images_with(alpha)
+    canonical = {letter: _state_element(s) for letter, s in _abcd_states(_twister()).items()}
     tables = {}
     for dead, symbol in (("d", 0), ("c", 1), ("b", 2)):
         relabel = route_constant(symbol)
@@ -239,6 +321,28 @@ def eval_abcd_word(w: str, dead_letter: str = "d") -> ExtLampElement:
     return ExtLampElement(LampElement(2, tuple(lamps), z), flip)
 
 
+def ext_pretwisted_images(dead_letter: str = "d") -> tuple[Mapping[str, ExtState], Mapping[str, ExtState]]:
+    """States of the a..d images, twisted ahead for the flip of the left factor.
+
+    ``ext_state_mul(u, ext_pretwisted_images(dead)[u[3]][letter])`` is u
+    times the letter, with no twist applied at multiplication time.
+    """
+    abcd_images(dead_letter)  # rejects a bad dead letter
+    return _PRETWISTED[dead_letter]
+
+
+def _pretwisted_tables() -> dict[str, tuple[Mapping[str, ExtState], Mapping[str, ExtState]]]:
+    twist = _twister()
+    tables = {}
+    for dead, images in _ABCD_IMAGES.items():
+        states = {letter: _ext_state(img) for letter, img in images.items()}
+        tables[dead] = (
+            MappingProxyType(states),
+            MappingProxyType({letter: twist(s) for letter, s in states.items()}),
+        )
+    return tables
+
+
 def _step_tables() -> dict[str, tuple[dict[str, tuple[int, int, int]], ...]]:
     """Per dead letter and current flip, each letter's (lamp mask, shift, flip).
 
@@ -246,23 +350,22 @@ def _step_tables() -> dict[str, tuple[dict[str, tuple[int, int, int]], ...]]:
     case letters are the same involutions.
     """
     tables = {}
-    for dead, images in _ABCD_IMAGES.items():
-        per_flip = []
-        for flip in (0, 1):
+    for dead, per_flip in _PRETWISTED.items():
+        step_tables = []
+        for images in per_flip:
             steps = {}
-            for letter, img in images.items():
-                base = alpha(img.base) if flip else img.base
+            for letter, (mask, low, shift, flip) in images.items():
                 # keeps the bit indices of eval_abcd_word positive
-                assert all(0 <= p <= 1 for p, _ in base.lamps) and abs(base.shift) <= 1, f"step out of range: {base}"
-                step = (sum(1 << p for p, _ in base.lamps), base.shift, img.flip)
-                steps[letter] = steps[letter.upper()] = step
-            per_flip.append(steps)
-        tables[dead] = tuple(per_flip)
+                assert low >= 0 and mask << low < 4 and abs(shift) <= 1, f"step out of range: {images[letter]}"
+                steps[letter] = steps[letter.upper()] = (mask << low, shift, flip)
+            step_tables.append(steps)
+        tables[dead] = tuple(step_tables)
     return tables
 
 
 _RELATIONS = ("aa", "bb", "cc", "dd", "bcd")
 _ABCD_IMAGES = _dictionaries()
+_PRETWISTED = _pretwisted_tables()
 _STEPS = _step_tables()
 
 
@@ -313,31 +416,29 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
     u = a^f . k with k in the lamp part, through the twist (so a
     non-involutive twist fails to rebuild u). ``corrupt_alpha`` replaces the
     twist by the identity map, a negative control that must break the
-    conjugation check.
+    conjugation check. ``sample_count`` must be at least 1, since the sampled
+    checks would pass vacuously on no samples.
     """
     from .sampling import Lcg  # local import to keep module deps one-way
 
     if window < 1:
         raise ValueError("window must be >= 1")
-    twist = (lambda u: u) if corrupt_alpha else alpha
-    mult = lambda u, v: _ext_multiply_with(twist, u, v)
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    twist = _twister(identity=corrupt_alpha)
+    mult = lambda u, v: _state_multiply(twist, u, v)
+    images = _abcd_states(twist)
 
-    def inv(u: ExtLampElement) -> ExtLampElement:
-        base = lamp_inverse(u.base)
-        return ExtLampElement(twist(base) if u.flip else base, u.flip)
+    def conj(u: ExtState, g: ExtState) -> ExtState:
+        return mult(mult(_state_inverse(twist, g), u), g)
 
-    def conj(u: ExtLampElement, g: ExtLampElement) -> ExtLampElement:
-        return mult(mult(inv(g), u), g)
-
-    images = _abcd_images_with(twist)
-
-    def eval_word(word: str) -> ExtLampElement:
-        acc = ExtLampElement(lamp_identity(), 0)
+    def eval_word(word: str) -> ExtState:
+        acc = EXT_STATE_IDENTITY
         for ch in word:
             acc = mult(acc, images[ch])
         return acc
 
-    ident = ext_identity()
+    ident = EXT_STATE_IDENTITY
     indices = range(-window, window + 1)
     t_vals = {i: eval_word(t_n_word(i)) for i in indices}
     ab_val = eval_word("ab")
@@ -365,11 +466,11 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
     checks["conjugation_steps_index"] = {"pass": conj_fail is None, "witness": conj_fail}
 
     # shift separation: t-products stay at shift 0, (ab)^k moves by k
-    shift_ok = all(v.base.shift == 0 and v.flip == 0 for v in t_vals.values())
+    shift_ok = all(v[2] == 0 and v[3] == 0 for v in t_vals.values())
     power = ident
     for k in range(1, window + 1):
         power = mult(power, ab_val)
-        if power.base.shift == 0:
+        if power[2] == 0:
             shift_ok = False
             break
     checks["shift_separates_ab_powers"] = {"pass": shift_ok}
@@ -377,11 +478,11 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
     rng = Lcg(seed)
     factor_ok = True
     for _ in range(sample_count):
-        lamps = {rng.randrange(2 * window + 1) - window: 1 for _ in range(rng.randrange(4))}
-        u = ExtLampElement(_from_dict(2, lamps, rng.randrange(7) - 3), rng.randrange(2))
-        a_f = ExtLampElement(lamp_identity(), u.flip)
-        k_part = mult(inv(a_f), u)
-        if k_part.flip != 0 or mult(a_f, k_part) != u:
+        lamps = {rng.randrange(2 * window + 1) - window for _ in range(rng.randrange(4))}
+        u = _state(lamps, rng.randrange(7) - 3, rng.randrange(2))
+        a_f = (0, 0, 0, u[3])
+        k_part = mult(_state_inverse(twist, a_f), u)
+        if k_part[3] != 0 or mult(a_f, k_part) != u:
             factor_ok = False
             break
     checks["unique_factorization"] = {"pass": factor_ok}

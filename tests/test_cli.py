@@ -244,6 +244,13 @@ def test_structure_negative_control(capsys):
     assert any(not c["pass"] for c in rep["checks"].values())
 
 
+def test_structure_rejects_zero_samples(capsys):
+    # with no samples the sampled checks would pass vacuously
+    code, out, err = run(capsys, "structure", "--window", "4", "--samples", "0")
+    assert code == EXIT_USAGE and "--samples must be >= 1" in err
+    assert out == ""
+
+
 # -- generic ------------------------------------------------------------------
 
 def test_unknown_subcommand_exits_2(capsys):

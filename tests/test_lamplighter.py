@@ -1,10 +1,12 @@
 """Wreath-product models: the lamp group, its flip extension, dictionaries."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import markedgroups.lamplighter as lamplighter_module
 import oracles
+from markedgroups.grigorchuk import dead_letter_for
+from markedgroups.handles import ext_model_handle
 from markedgroups.lamplighter import (
     ExtLampElement,
     LampElement,
@@ -151,6 +153,43 @@ def test_eval_abcd_word_matches_oracle_and_fold(dead, word):
     assert value == acc
 
 
+MODEL_HANDLES = {dead_letter_for(symbol): ext_model_handle(symbol) for symbol in range(3)}
+MODEL_WORDS = st.lists(st.sampled_from("abcdABCD"), max_size=12).map("".join)
+
+
+def _handle_element(handle, word):
+    elem = handle.identity
+    for letter in word_from_str(word, ("a", "b", "c", "d")).letters:
+        elem = handle.mul(elem, letter)
+    return elem
+
+
+@st.composite
+def model_word_pairs(draw):
+    # half of the pairs insert a relator into u, so equal elements reached
+    # along different paths are drawn often
+    u = draw(MODEL_WORDS)
+    if draw(st.booleans()):
+        return u, draw(MODEL_WORDS)
+    k = draw(st.integers(0, len(u)))
+    return u, u[:k] + draw(st.sampled_from(("aa", "bb", "cc", "dd", "bcd", "dbc", "cbd"))) + u[k:]
+
+
+@given(st.sampled_from("bcd"), model_word_pairs())
+@example("d", ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
+def test_ext_state_arithmetic_matches_oracle(dead, pair):
+    # handle elements are equal exactly when the oracle values are, and the
+    # boundary conversions of ext_multiply and ext_inverse lose nothing
+    u, v = pair
+    handle = MODEL_HANDLES[dead]
+    same = _handle_element(handle, u) == _handle_element(handle, v)
+    assert same == (oracles.ext_model_oracle(u, dead) == oracles.ext_model_oracle(v, dead))
+    eu, ev = eval_abcd_word(u, dead), eval_abcd_word(v, dead)
+    assert _ext_as_oracle(ext_multiply(eu, ev)) == oracles.ext_model_oracle(u + v, dead)
+    # every letter is an involution, so the inverse of u is u reversed
+    assert _ext_as_oracle(ext_inverse(eu)) == oracles.ext_model_oracle(u[::-1], dead)
+
+
 def test_eval_abcd_word_rejects_bad_input():
     with pytest.raises(ValueError, match="'e' not in alphabet"):
         eval_abcd_word("abe")
@@ -295,6 +334,31 @@ def test_structure_report_check_can_fail(check, monkeypatch):
     rep = structure_report(4)
     assert rep["checks"][check]["pass"] is False
     assert rep["verdict"] == "fail"
+
+
+def test_structure_report_rejects_zero_samples():
+    # the sampled checks would pass vacuously on no samples
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="sample_count"):
+            structure_report(4, sample_count=count)
+
+
+def test_structure_report_multiplies_lamps_only_in_metabelian_samples(monkeypatch):
+    # every other check runs on the extension model's states, so the number
+    # of lamp_multiply calls does not grow with the window
+    calls = []
+
+    def counted(u, v):
+        calls.append(1)
+        return lamp_multiply(u, v)
+
+    monkeypatch.setattr(lamplighter_module, "lamp_multiply", counted)
+    counts = []
+    for window in (4, 64):
+        calls.clear()
+        assert structure_report(window)["verdict"] == "pass"
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_structure_report_deterministic():

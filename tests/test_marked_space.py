@@ -324,6 +324,23 @@ def test_separator_012_vs_021_frozen():
     assert not oracles.oracle_acts_trivially(oracles.SEPARATOR_012_VS_021, oracles.OMEGA_012, 12)
 
 
+def test_separator_012_vs_model_needs_no_element_arithmetic(monkeypatch):
+    # the model handle multiplies (mask, low, shift, flip) states with images
+    # twisted at import, so the ExtLampElement and LampElement arithmetic
+    # can be broken without changing the separator
+    def broken(*args):
+        raise AssertionError("element arithmetic in the model handle")
+
+    for name in ("ext_multiply", "lamp_multiply", "_from_dict", "alpha"):
+        monkeypatch.setattr(lamplighter_module, name, broken)
+    rep = find_separating_word(grig_handle("(012)"), ext_model_handle(0), 16)
+    word = gen_word_from_free(rep.word)
+    assert word == "abadabadabadabad"
+    assert (rep.length, rep.square, rep.trivial_in) == (16, True, "G_(0)[model]")
+    assert oracles.ext_model_oracle(word, "d") == (frozenset(), 0, 0)
+    assert not oracles.oracle_acts_trivially(word, oracles.OMEGA_012, 12)
+
+
 def test_separator_absent_within_bound():
     rep = find_separating_word(G012, G021, 8)
     assert rep == type(rep)(None, None, None, None)
