@@ -24,7 +24,7 @@ from .handles import (
     l_subgroup_handle,
     lamplighter_handle,
 )
-from .lamplighter import eval_abcd_word, ext_identity, structure_report
+from .lamplighter import EXT_STATE_IDENTITY, eval_abcd_state, structure_report
 from .marked_space import (
     MarkedGroupHandle,
     SeparatorReport,
@@ -207,11 +207,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         raise ValueError("k window needs at least 3 values")
     window = range(args.k_min, args.k_max + 1)
     wider = range(args.k_max + 2, args.k_max + 10)
-    ident = ext_identity()
 
     def model_verdict(word: str) -> bool:
-        # the constant-0 extension model, evaluated on the a..d string itself
-        return eval_abcd_word(word) == ident
+        # the constant-0 extension model, folded over the a..d string itself
+        return eval_abcd_state(word) == EXT_STATE_IDENTITY
 
     rng = Lcg(args.seed)
     agreements = 0

@@ -34,9 +34,8 @@ from .grigorchuk import (
 )
 from .lamplighter import (
     EXT_STATE_IDENTITY,
-    eval_abcd_word,
+    eval_abcd_state,
     eval_st_word,
-    ext_identity,
     ext_pretwisted_images,
     ext_state_mul,
     lamp_identity,
@@ -116,7 +115,6 @@ def ext_model_handle(symbol: int) -> MarkedGroupHandle:
     (Z_2 wr Z) x| Z_2 where comparison is exact.
     """
     dead = dead_letter_for(symbol)
-    ident = ext_identity()
     # every letter is an involution, so a letter and its inverse share an image
     by_flip = [
         {(i, sign): images[ch] for i, ch in enumerate("abcd") for sign in (1, -1)}
@@ -124,7 +122,7 @@ def ext_model_handle(symbol: int) -> MarkedGroupHandle:
     ]
 
     def trivial(w: FreeWord) -> bool:
-        return eval_abcd_word(gen_word_from_free(w), dead) == ident
+        return eval_abcd_state(gen_word_from_free(w), dead) == EXT_STATE_IDENTITY
 
     def mul(elem, letter):
         return ext_state_mul(elem, by_flip[elem[3]][letter])

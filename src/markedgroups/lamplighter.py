@@ -34,14 +34,15 @@ twist^flip(base) at the cursor: the masks are aligned and XORed, the shifts
 added and the flips XORed. The twist is alpha as the module global reads
 when a product or report is set up (the identity for the structure report's
 negative control), applied through ``LampElement`` once per state and
-memoised. ``ext_multiply`` and ``ext_inverse`` convert to states and back;
-the extension-model handle and the structure report multiply states
-throughout, with each letter's image twisted ahead of time for either flip.
+memoised. ``ext_multiply`` and ``ext_inverse`` convert to states and back.
 
-Words are evaluated by a fold over a state (lit, z, flip), with the lit
-lamps as bits of one int. Each letter's step is read off the pre-twisted
-images once at import, one table per dead letter and current flip, so the
-dictionaries stay the single definition of the model.
+Every a..d word is one fold: one ``ext_state_mul`` per letter, by the
+letter's image twisted ahead of time for the current flip. The tables of
+twisted images, one pair per dead letter with upper case included, are
+built once at import from the d-dead images and ``route_constant``; the
+structure report builds its own pair from its twist. The extension-model
+handle multiplies by the same tables, and ``eval_abcd_word`` converts only
+the final state into an ``ExtLampElement``.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def lamp_identity(n: int = 2) -> LampElement:
     return LampElement(n, (), 0)
 
 
-def lamp_s(n: int = 2, value: int = 1) -> LampElement:
-    return _from_dict(n, {0: value}, 0)
+def lamp_s(n: int = 2) -> LampElement:
+    return _from_dict(n, {0: 1}, 0)
 
 
 def lamp_t(n: int = 2) -> LampElement:
@@ -272,14 +273,40 @@ def _abcd_states(twist: Callable[[ExtState], ExtState]) -> dict[str, ExtState]:
     return {"a": a_img, "b": b_img, "c": c_img, "d": d_img}
 
 
-def _dictionaries() -> dict[str, Mapping[str, ExtLampElement]]:
-    """Images of a, b, c, d for each dead letter, relabelled from the d-dead ones."""
-    canonical = {letter: _state_element(s) for letter, s in _abcd_states(_twister()).items()}
+LetterTables = tuple[Mapping[str, ExtState], Mapping[str, ExtState]]
+
+
+def _letter_tables(twist: Callable[[ExtState], ExtState], images: Mapping[str, ExtState]) -> LetterTables:
+    """Each letter's image, upper case included, twisted ahead for a left
+    factor of flip 0 and of flip 1."""
+    plain = {}
+    for letter, s in images.items():
+        plain[letter] = plain[letter.upper()] = s
+    return MappingProxyType(plain), MappingProxyType({letter: twist(s) for letter, s in plain.items()})
+
+
+def _pretwisted_tables() -> dict[str, LetterTables]:
+    """Letter tables for each dead letter, relabelled from the d-dead images."""
+    twist = _twister()
+    canonical = _abcd_states(twist)
     tables = {}
     for dead, symbol in (("d", 0), ("c", 1), ("b", 2)):
         relabel = route_constant(symbol)
-        tables[dead] = MappingProxyType({letter: canonical[relabel[letter]] for letter in "abcd"})
+        tables[dead] = _letter_tables(twist, {letter: canonical[relabel[letter]] for letter in "abcd"})
     return tables
+
+
+def _fold(tables: LetterTables, w: str) -> ExtState:
+    """The product of the letters of w, each read from the table for the current flip."""
+    acc = EXT_STATE_IDENTITY
+    for ch in w:
+        image = tables[acc[3]].get(ch)
+        if image is None:
+            if ch.isspace():
+                continue
+            raise ValueError(f"letter {ch!r} not in alphabet abcd")
+        acc = ext_state_mul(acc, image)
+    return acc
 
 
 def abcd_images(dead_letter: str = "d") -> Mapping[str, ExtLampElement]:
@@ -290,39 +317,9 @@ def abcd_images(dead_letter: str = "d") -> Mapping[str, ExtLampElement]:
     return images
 
 
-def eval_abcd_word(w: str, dead_letter: str = "d") -> ExtLampElement:
-    """Evaluate a word over a..d in the extension model.
-
-    One pass over the word with the state (lit, z, flip) of the module
-    docstring; lamp position p is bit p + len(w) + 1 of ``lit``, which keeps
-    every bit index positive since |z| never exceeds the letters read. Only
-    the final value is built as an element.
-    """
-    abcd_images(dead_letter)  # rejects a bad dead letter
-    steps = _STEPS[dead_letter]
-    offset = len(w) + 1
-    lit = z = flip = 0
-    for ch in w:
-        step = steps[flip].get(ch)
-        if step is None:
-            if ch.isspace():
-                continue
-            raise ValueError(f"letter {ch!r} not in alphabet abcd")
-        mask, dz, df = step
-        if mask:
-            lit ^= mask << (z + offset)
-        z += dz
-        flip ^= df
-    lamps = []
-    while lit:
-        low = lit & -lit
-        lamps.append((low.bit_length() - 1 - offset, 1))
-        lit ^= low
-    return ExtLampElement(LampElement(2, tuple(lamps), z), flip)
-
-
-def ext_pretwisted_images(dead_letter: str = "d") -> tuple[Mapping[str, ExtState], Mapping[str, ExtState]]:
-    """States of the a..d images, twisted ahead for the flip of the left factor.
+def ext_pretwisted_images(dead_letter: str = "d") -> LetterTables:
+    """States of the a..d images, upper case included, twisted ahead for the
+    flip of the left factor.
 
     ``ext_state_mul(u, ext_pretwisted_images(dead)[u[3]][letter])`` is u
     times the letter, with no twist applied at multiplication time.
@@ -331,55 +328,41 @@ def ext_pretwisted_images(dead_letter: str = "d") -> tuple[Mapping[str, ExtState
     return _PRETWISTED[dead_letter]
 
 
-def _pretwisted_tables() -> dict[str, tuple[Mapping[str, ExtState], Mapping[str, ExtState]]]:
-    twist = _twister()
-    tables = {}
-    for dead, images in _ABCD_IMAGES.items():
-        states = {letter: _ext_state(img) for letter, img in images.items()}
-        tables[dead] = (
-            MappingProxyType(states),
-            MappingProxyType({letter: twist(s) for letter, s in states.items()}),
-        )
-    return tables
+def eval_abcd_state(w: str, dead_letter: str = "d") -> ExtState:
+    """The state of a word over a..d in the extension model.
 
-
-def _step_tables() -> dict[str, tuple[dict[str, tuple[int, int, int]], ...]]:
-    """Per dead letter and current flip, each letter's (lamp mask, shift, flip).
-
-    Bit j of the mask is the lamp at z + j, relative to the cursor z; upper
-    case letters are the same involutions.
+    Whitespace is skipped and upper case letters are the same involutions.
     """
-    tables = {}
-    for dead, per_flip in _PRETWISTED.items():
-        step_tables = []
-        for images in per_flip:
-            steps = {}
-            for letter, (mask, low, shift, flip) in images.items():
-                # keeps the bit indices of eval_abcd_word positive
-                assert low >= 0 and mask << low < 4 and abs(shift) <= 1, f"step out of range: {images[letter]}"
-                steps[letter] = steps[letter.upper()] = (mask << low, shift, flip)
-            step_tables.append(steps)
-        tables[dead] = tuple(step_tables)
-    return tables
+    return _fold(ext_pretwisted_images(dead_letter), w)
+
+
+def eval_abcd_word(w: str, dead_letter: str = "d") -> ExtLampElement:
+    """Evaluate a word over a..d in the extension model; only the final
+    value is built as an element."""
+    return _state_element(eval_abcd_state(w, dead_letter))
 
 
 _RELATIONS = ("aa", "bb", "cc", "dd", "bcd")
-_ABCD_IMAGES = _dictionaries()
 _PRETWISTED = _pretwisted_tables()
-_STEPS = _step_tables()
+_ABCD_IMAGES = {
+    dead: MappingProxyType({letter: _state_element(plain[letter]) for letter in "abcd"})
+    for dead, (plain, _) in _PRETWISTED.items()
+}
 
 
 def _verify_dictionaries() -> None:
+    twist = _twister()
     for dead in "bcd":
         for rel in _RELATIONS:
-            val = eval_abcd_word(rel, dead)
-            assert val == ext_identity(), f"relation {rel} fails in the {dead}-dead model: {val}"
-        # every step, from either flip, agrees with multiplying by the image
-        images = _ABCD_IMAGES[dead]
+            val = eval_abcd_state(rel, dead)
+            assert val == EXT_STATE_IDENTITY, f"relation {rel} fails in the {dead}-dead model: {val}"
+        # the pre-twisted tables agree with twisting at product time, from either flip
+        images = _PRETWISTED[dead][0]
         for x in "abcd":
             for y in "abcd":
-                val = eval_abcd_word(x + y, dead)
-                assert val == ext_multiply(images[x], images[y]), f"step {x}{y} fails in the {dead}-dead model: {val}"
+                val = eval_abcd_state(x + y, dead)
+                want = _state_multiply(twist, images[x], images[y])
+                assert val == want, f"step {x}{y} fails in the {dead}-dead model: {val}"
     # the product ab must land on the bare shift in the standard dictionary
     assert eval_abcd_word("ab", "d") == ExtLampElement(lamp_t(), 0)
     # alpha really is the stated automorphism: involutive, fixes the defining images
@@ -427,21 +410,15 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
         raise ValueError("sample_count must be >= 1")
     twist = _twister(identity=corrupt_alpha)
     mult = lambda u, v: _state_multiply(twist, u, v)
-    images = _abcd_states(twist)
+    tables = _letter_tables(twist, _abcd_states(twist))
 
     def conj(u: ExtState, g: ExtState) -> ExtState:
         return mult(mult(_state_inverse(twist, g), u), g)
 
-    def eval_word(word: str) -> ExtState:
-        acc = EXT_STATE_IDENTITY
-        for ch in word:
-            acc = mult(acc, images[ch])
-        return acc
-
     ident = EXT_STATE_IDENTITY
     indices = range(-window, window + 1)
-    t_vals = {i: eval_word(t_n_word(i)) for i in indices}
-    ab_val = eval_word("ab")
+    t_vals = {i: _fold(tables, t_n_word(i)) for i in indices}
+    ab_val = _fold(tables, "ab")
 
     checks: dict[str, dict] = {}
 
@@ -487,7 +464,7 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
             break
     checks["unique_factorization"] = {"pass": factor_ok}
 
-    relations_ok = all(eval_word(rel) == ident for rel in _RELATIONS)
+    relations_ok = all(_fold(tables, rel) == ident for rel in _RELATIONS)
     checks["defining_relations"] = {"pass": relations_ok}
 
     # metabelian evidence: lamp commutators drop to shift 0 and commute

@@ -160,16 +160,11 @@ def word_to_str(w: FreeWord, names: tuple[str, ...] | None = None) -> str:
     return "".join(parts) if all(len(n) == 1 for n in names) else " ".join(parts)
 
 
-def word_from_str(text: str, names: tuple[str, ...] | None = None, rank: int | None = None) -> FreeWord:
+def word_from_str(text: str, names: tuple[str, ...]) -> FreeWord:
     """Parse a word; lowercase letter = generator, uppercase = inverse.
 
     Whitespace is ignored. ``names`` must be single characters.
     """
-    if names is None:
-        if rank == 2 or rank is None:
-            names = ("s", "t")
-        else:
-            raise ValueError("names required for rank != 2")
     lookup = {}
     for i, n in enumerate(names):
         if len(n) != 1 or not n.islower():

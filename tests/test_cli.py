@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import markedgroups.cli as cli_module
+import markedgroups.lamplighter as lamplighter_module
 from markedgroups.cli import (
     CAP_SEPARATOR_LEN,
     CAP_TREE_RADIUS,
@@ -210,6 +211,20 @@ def test_crosscheck_deterministic(capsys):
 def test_crosscheck_sample_cap(capsys):
     code, _, err = run(capsys, "crosscheck", "--samples", "20001")
     assert code == EXIT_USAGE and "cap" in err
+
+
+def test_crosscheck_builds_no_model_element(capsys, monkeypatch):
+    # the model verdict compares states, so no lamp or extension element is
+    # built for a sampled word
+    argv = ("crosscheck", "--max-len", "24", "--samples", "500", "--seed", "0")
+    want = run(capsys, *argv)[:2]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("an extension-model element was built")
+
+    for name in ("LampElement", "ExtLampElement"):
+        monkeypatch.setattr(lamplighter_module, name, broken)
+    assert run(capsys, *argv)[:2] == want
 
 
 # -- minimality ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from markedgroups.lamplighter import (
     LampElement,
     abcd_images,
     alpha,
+    eval_abcd_state,
     eval_abcd_word,
     eval_st_word,
     ext_identity,
@@ -188,6 +189,20 @@ def test_ext_state_arithmetic_matches_oracle(dead, pair):
     assert _ext_as_oracle(ext_multiply(eu, ev)) == oracles.ext_model_oracle(u + v, dead)
     # every letter is an involution, so the inverse of u is u reversed
     assert _ext_as_oracle(ext_inverse(eu)) == oracles.ext_model_oracle(u[::-1], dead)
+
+
+@given(st.sampled_from("bcd"), model_word_pairs())
+@example("d", ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
+@example("d", ("add", "a"))  # the second d clears the only lamp, at position 1
+def test_eval_abcd_state_is_a_normal_form(dead, pair):
+    # states are equal exactly when the oracle values are, and each state is
+    # the handle's product over the same letters
+    u, v = pair
+    su, sv = eval_abcd_state(u, dead), eval_abcd_state(v, dead)
+    assert (su == sv) == (oracles.ext_model_oracle(u, dead) == oracles.ext_model_oracle(v, dead))
+    handle = MODEL_HANDLES[dead]
+    assert su == _handle_element(handle, u)
+    assert sv == _handle_element(handle, v)
 
 
 def test_eval_abcd_word_rejects_bad_input():
