@@ -40,19 +40,12 @@ from .grigorchuk import (
     translate_L_word,
 )
 from .lamplighter import (
-    ExtLampElement,
     LampElement,
-    abcd_images,
     alpha,
-    eval_abcd_word,
     eval_st_word,
-    ext_identity,
-    ext_inverse,
-    ext_multiply,
     lamp_identity,
     lamp_inverse,
     lamp_multiply,
-    lamp_t_n,
     structure_report,
     t_n_word,
 )

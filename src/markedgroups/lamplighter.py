@@ -26,23 +26,23 @@ served by relabeling (see grigorchuk.route_constant). The three dictionaries
 are built once at import, where all five defining relations a^2, b^2, c^2,
 d^2, bcd are verified for each of them.
 
-Inside the module the extension works on one normal form, a state tuple
-(mask, low, shift, flip) standing for (lamps, shift) . a^flip: bit i of mask
-is the lamp at low + i, and mask is odd, or mask and low are both 0, so equal
-elements are equal tuples. Right multiplication by (base, f) adds
-twist^flip(base) at the cursor: the masks are aligned and XORed, the shifts
-added and the flips XORed. The twist is alpha as the module global reads
-when a product or report is set up (the identity for the structure report's
-negative control), applied through ``LampElement`` once per state and
-memoised. ``ext_multiply`` and ``ext_inverse`` convert to states and back.
+The extension has no element type: it works on one normal form, a state
+tuple (mask, low, shift, flip) standing for (lamps, shift) . a^flip. Bit i
+of mask is the lamp at low + i, and mask is odd, or mask and low are both
+0, so equal elements are equal tuples. Right multiplication by (base, f)
+adds twist^flip(base) at the cursor: the masks are aligned and XORed, the
+shifts added and the flips XORed. The twist is alpha as the module global
+reads when a product or report is set up (the identity for the structure
+report's negative control), applied through ``LampElement`` once per state
+and memoised.
 
 Every a..d word is one fold: one ``ext_state_mul`` per letter, by the
 letter's image twisted ahead of time for the current flip. The tables of
 twisted images, one pair per dead letter with upper case included, are
 built once at import from the d-dead images and ``route_constant``; the
-structure report builds its own pair from its twist. The extension-model
-handle multiplies by the same tables, and ``eval_abcd_word`` converts only
-the final state into an ``ExtLampElement``.
+structure report builds its own pair from its twist. ``eval_abcd_state``
+folds a word over these tables, and the extension-model handle multiplies
+by them one letter at a time.
 """
 
 from __future__ import annotations
@@ -63,14 +63,7 @@ __all__ = [
     "lamp_inverse",
     "lamp_commutator",
     "alpha",
-    "ExtLampElement",
-    "ext_identity",
-    "ext_multiply",
-    "ext_inverse",
     "eval_st_word",
-    "abcd_images",
-    "eval_abcd_word",
-    "lamp_t_n",
     "t_n_word",
     "structure_report",
 ]
@@ -143,27 +136,6 @@ def alpha(u: LampElement) -> LampElement:
     return _from_dict(u.n, {1 - p: v for p, v in u.lamps}, -u.shift)
 
 
-@dataclass(frozen=True, slots=True)
-class ExtLampElement:
-    """Element (base, flip) of the extension, representing base . a^flip."""
-
-    base: LampElement
-    flip: int
-
-    def __post_init__(self) -> None:
-        if self.base.n != 2:
-            raise ValueError("the extension model is built over Z_2 wr Z only")
-        if self.flip not in (0, 1):
-            raise ValueError("flip must be 0 or 1")
-
-    def __str__(self) -> str:
-        return f"{self.base} flip:{self.flip}"
-
-
-def ext_identity() -> ExtLampElement:
-    return ExtLampElement(lamp_identity(), 0)
-
-
 ExtState = tuple[int, int, int, int]  # (mask, low, shift, flip); see the module docstring
 EXT_STATE_IDENTITY: ExtState = (0, 0, 0, 0)
 
@@ -177,8 +149,9 @@ def _state(positions: Iterable[int], shift: int, flip: int) -> ExtState:
     return (sum(1 << (p - low) for p in positions), low, shift, flip)
 
 
-def _ext_state(u: ExtLampElement) -> ExtState:
-    return _state((p for p, _ in u.base.lamps), u.base.shift, u.flip)
+def _lamp_state(base: LampElement, flip: int) -> ExtState:
+    """The state of base . a^flip for a base over Z_2."""
+    return _state((p for p, _ in base.lamps), base.shift, flip)
 
 
 def _state_base(s: ExtState) -> LampElement:
@@ -189,10 +162,6 @@ def _state_base(s: ExtState) -> LampElement:
         lamps.append((low + bit.bit_length() - 1, 1))
         mask ^= bit
     return LampElement(2, tuple(lamps), shift)
-
-
-def _state_element(s: ExtState) -> ExtLampElement:
-    return ExtLampElement(_state_base(s), s[3])
 
 
 def ext_state_mul(u: ExtState, v: ExtState) -> ExtState:
@@ -227,7 +196,7 @@ def _twister(identity: bool = False) -> Callable[[ExtState], ExtState]:
     def twist(s: ExtState) -> ExtState:
         t = memo.get(s)
         if t is None:
-            t = memo[s] = _ext_state(ExtLampElement(fn(_state_base(s)), s[3]))
+            t = memo[s] = _lamp_state(fn(_state_base(s)), s[3])
         return t
 
     return twist
@@ -241,14 +210,6 @@ def _state_inverse(twist: Callable[[ExtState], ExtState], s: ExtState) -> ExtSta
     mask, low, shift, flip = s
     inv = (mask, low - shift if mask else 0, -shift, flip)
     return twist(inv) if flip else inv
-
-
-def ext_multiply(u: ExtLampElement, v: ExtLampElement) -> ExtLampElement:
-    return _state_element(_state_multiply(_twister(), _ext_state(u), _ext_state(v)))
-
-
-def ext_inverse(u: ExtLampElement) -> ExtLampElement:
-    return _state_element(_state_inverse(_twister(), _ext_state(u)))
 
 
 def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
@@ -266,8 +227,8 @@ def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
 def _abcd_states(twist: Callable[[ExtState], ExtState]) -> dict[str, ExtState]:
     """Images of a, b, c, d with d dead, from s and t as the module reads them."""
     a_img = (0, 0, 0, 1)
-    d_img = _ext_state(ExtLampElement(lamp_s(), 0))
-    t_img = _ext_state(ExtLampElement(lamp_t(), 0))
+    d_img = _lamp_state(lamp_s(), 0)
+    t_img = _lamp_state(lamp_t(), 0)
     b_img = _state_multiply(twist, a_img, t_img)  # b = a.t since t = ab and a is an involution
     c_img = _state_multiply(twist, b_img, d_img)  # c = b.d since bcd = e
     return {"a": a_img, "b": b_img, "c": c_img, "d": d_img}
@@ -309,14 +270,6 @@ def _fold(tables: LetterTables, w: str) -> ExtState:
     return acc
 
 
-def abcd_images(dead_letter: str = "d") -> Mapping[str, ExtLampElement]:
-    """Model images of a, b, c, d when the given letter is the dead one."""
-    images = _ABCD_IMAGES.get(dead_letter)
-    if images is None:
-        raise ValueError("dead letter must be one of b, c, d")
-    return images
-
-
 def ext_pretwisted_images(dead_letter: str = "d") -> LetterTables:
     """States of the a..d images, upper case included, twisted ahead for the
     flip of the left factor.
@@ -324,8 +277,10 @@ def ext_pretwisted_images(dead_letter: str = "d") -> LetterTables:
     ``ext_state_mul(u, ext_pretwisted_images(dead)[u[3]][letter])`` is u
     times the letter, with no twist applied at multiplication time.
     """
-    abcd_images(dead_letter)  # rejects a bad dead letter
-    return _PRETWISTED[dead_letter]
+    tables = _PRETWISTED.get(dead_letter)
+    if tables is None:
+        raise ValueError("dead letter must be one of b, c, d")
+    return tables
 
 
 def eval_abcd_state(w: str, dead_letter: str = "d") -> ExtState:
@@ -336,18 +291,8 @@ def eval_abcd_state(w: str, dead_letter: str = "d") -> ExtState:
     return _fold(ext_pretwisted_images(dead_letter), w)
 
 
-def eval_abcd_word(w: str, dead_letter: str = "d") -> ExtLampElement:
-    """Evaluate a word over a..d in the extension model; only the final
-    value is built as an element."""
-    return _state_element(eval_abcd_state(w, dead_letter))
-
-
 _RELATIONS = ("aa", "bb", "cc", "dd", "bcd")
 _PRETWISTED = _pretwisted_tables()
-_ABCD_IMAGES = {
-    dead: MappingProxyType({letter: _state_element(plain[letter]) for letter in "abcd"})
-    for dead, (plain, _) in _PRETWISTED.items()
-}
 
 
 def _verify_dictionaries() -> None:
@@ -364,7 +309,7 @@ def _verify_dictionaries() -> None:
                 want = _state_multiply(twist, images[x], images[y])
                 assert val == want, f"step {x}{y} fails in the {dead}-dead model: {val}"
     # the product ab must land on the bare shift in the standard dictionary
-    assert eval_abcd_word("ab", "d") == ExtLampElement(lamp_t(), 0)
+    assert eval_abcd_state("ab", "d") == _lamp_state(lamp_t(), 0)
     # alpha really is the stated automorphism: involutive, fixes the defining images
     s, t = lamp_s(), lamp_t()
     assert alpha(t) == lamp_inverse(t)
@@ -381,13 +326,6 @@ def t_n_word(i: int) -> str:
         return "ba" * i + "d" + "ab" * i
     m = -i - 1
     return "a" + "ba" * m + "d" + "ab" * m + "a"
-
-
-def lamp_t_n(i: int) -> ExtLampElement:
-    """Model value of t_i, via its defining word; lies in the lamp part."""
-    val = eval_abcd_word(t_n_word(i), "d")
-    assert val.flip == 0 and val.base.shift == 0, f"t_{i} left the lamp subgroup: {val}"
-    return val
 
 
 def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int = 100, seed: int = 1729) -> dict:

@@ -32,7 +32,7 @@ from markedgroups.handles import (
     l_subgroup_handle,
     lamplighter_handle,
 )
-from markedgroups.lamplighter import ext_identity, eval_abcd_word, structure_report
+from markedgroups.lamplighter import EXT_STATE_IDENTITY, eval_abcd_state, structure_report
 from markedgroups.marked_space import build_ball, growth_sequence
 from markedgroups.sampling import DEFAULT_SEED, Lcg, sample_alternating_word, sample_omega
 from markedgroups.words import (
@@ -79,7 +79,7 @@ def test_criterion_01_defining_relations():
         # (ii) the wreath model under every dead-letter assignment
         for dead in "bcd":
             for rel in RELATORS:
-                assert eval_abcd_word(rel, dead) == ext_identity(), (dead, rel)
+                assert eval_abcd_state(rel, dead) == EXT_STATE_IDENTITY, (dead, rel)
         # (iii) every marked handle honors its involutions (and bcd where 4-gen)
         handles = [
             grig_handle("(012)"),

@@ -222,7 +222,7 @@ def test_crosscheck_builds_no_model_element(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("an extension-model element was built")
 
-    for name in ("LampElement", "ExtLampElement"):
+    for name in ("LampElement", "lamp_multiply", "_from_dict", "alpha"):
         monkeypatch.setattr(lamplighter_module, name, broken)
     assert run(capsys, *argv)[:2] == want
 

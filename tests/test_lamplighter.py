@@ -1,5 +1,7 @@
 """Wreath-product models: the lamp group, its flip extension, dictionaries."""
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -8,23 +10,22 @@ import oracles
 from markedgroups.grigorchuk import dead_letter_for
 from markedgroups.handles import ext_model_handle
 from markedgroups.lamplighter import (
-    ExtLampElement,
+    EXT_STATE_IDENTITY,
     LampElement,
-    abcd_images,
+    _lamp_state,
+    _state_inverse,
+    _state_multiply,
+    _twister,
     alpha,
     eval_abcd_state,
-    eval_abcd_word,
     eval_st_word,
-    ext_identity,
-    ext_inverse,
-    ext_multiply,
+    ext_pretwisted_images,
     lamp_commutator,
     lamp_identity,
     lamp_inverse,
     lamp_multiply,
     lamp_s,
     lamp_t,
-    lamp_t_n,
     structure_report,
     t_n_word,
 )
@@ -114,44 +115,64 @@ def test_alpha_on_generators():
 
 # -- the extension ------------------------------------------------------------
 
+def _mul(u, v):
+    return _state_multiply(_twister(), u, v)
+
+
+def _inv(u):
+    return _state_inverse(_twister(), u)
+
+
 @given(lamp_elements(n=2), lamp_elements(n=2), st.integers(0, 1), st.integers(0, 1))
 def test_ext_group_laws(b1, b2, f1, f2):
-    u = ExtLampElement(b1, f1)
-    v = ExtLampElement(b2, f2)
-    e = ext_identity()
-    assert ext_multiply(u, ext_inverse(u)) == e
-    assert ext_multiply(ext_inverse(u), u) == e
-    w = ext_multiply(u, v)
-    assert ext_multiply(ext_inverse(v), ext_multiply(ext_inverse(u), w)) == e
+    u, v = _lamp_state(b1, f1), _lamp_state(b2, f2)
+    e = EXT_STATE_IDENTITY
+    assert _mul(u, _inv(u)) == e
+    assert _mul(_inv(u), u) == e
+    w = _mul(u, v)
+    assert _mul(_inv(v), _mul(_inv(u), w)) == e
 
 
 def test_ext_word_evaluation():
-    assert eval_abcd_word("aa") == ext_identity()
-    assert eval_abcd_word("bb") == ext_identity()
-    assert eval_abcd_word("cc") == ext_identity()
-    assert eval_abcd_word("dd") == ext_identity()
-    assert eval_abcd_word("bcd") == ext_identity()
-    assert eval_abcd_word("bc") != ext_identity()
-    assert eval_abcd_word("d") != ext_identity()  # d is the lamp, not trivial
+    e = EXT_STATE_IDENTITY
+    for rel in ("aa", "bb", "cc", "dd", "bcd"):
+        assert eval_abcd_state(rel) == e, rel
+    assert eval_abcd_state("bc") != e
+    assert eval_abcd_state("d") != e  # d is the lamp, not trivial
 
 
-def _ext_as_oracle(u):
-    return (frozenset(p for p, _ in u.base.lamps), u.base.shift, u.flip)
+def _state_as_oracle(s):
+    mask, low, shift, flip = s
+    return (frozenset(low + i for i in range(mask.bit_length()) if mask >> i & 1), shift, flip)
 
 
 @given(
     st.sampled_from("bcd"),
     st.lists(st.sampled_from("abcdABCD \t"), max_size=64).map("".join),
 )
-def test_eval_abcd_word_matches_oracle_and_fold(dead, word):
-    value = eval_abcd_word(word, dead)
-    assert _ext_as_oracle(value) == oracles.ext_model_oracle(word, dead)
-    images = abcd_images(dead)
-    acc = ext_identity()
+def test_eval_abcd_state_matches_oracle_and_fold(dead, word):
+    value = eval_abcd_state(word, dead)
+    assert _state_as_oracle(value) == oracles.ext_model_oracle(word, dead)
+    images = ext_pretwisted_images(dead)[0]
+    acc = EXT_STATE_IDENTITY
     for ch in word:
         if not ch.isspace():
-            acc = ext_multiply(acc, images[ch.lower()])
+            acc = _mul(acc, images[ch])
     assert value == acc
+
+
+def test_eval_abcd_state_sweeps_short_words():
+    # every word of length <= 6, for each dead letter: the state reads as the
+    # oracle's value, and equal oracle values give equal states
+    words = ["".join(w) for n in range(7) for w in product("abcd", repeat=n)]
+    assert len(words) == 5461
+    for dead in "bcd":
+        states = {}
+        for w in words:
+            value = oracles.ext_model_oracle(w, dead)
+            state = eval_abcd_state(w, dead)
+            assert _state_as_oracle(state) == value, (dead, w)
+            assert states.setdefault(value, state) == state, (dead, w)
 
 
 MODEL_HANDLES = {dead_letter_for(symbol): ext_model_handle(symbol) for symbol in range(3)}
@@ -180,15 +201,15 @@ def model_word_pairs(draw):
 @example("d", ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
 def test_ext_state_arithmetic_matches_oracle(dead, pair):
     # handle elements are equal exactly when the oracle values are, and the
-    # boundary conversions of ext_multiply and ext_inverse lose nothing
+    # state product and inverse agree with the oracle
     u, v = pair
     handle = MODEL_HANDLES[dead]
     same = _handle_element(handle, u) == _handle_element(handle, v)
     assert same == (oracles.ext_model_oracle(u, dead) == oracles.ext_model_oracle(v, dead))
-    eu, ev = eval_abcd_word(u, dead), eval_abcd_word(v, dead)
-    assert _ext_as_oracle(ext_multiply(eu, ev)) == oracles.ext_model_oracle(u + v, dead)
+    eu, ev = eval_abcd_state(u, dead), eval_abcd_state(v, dead)
+    assert _state_as_oracle(_mul(eu, ev)) == oracles.ext_model_oracle(u + v, dead)
     # every letter is an involution, so the inverse of u is u reversed
-    assert _ext_as_oracle(ext_inverse(eu)) == oracles.ext_model_oracle(u[::-1], dead)
+    assert _state_as_oracle(_inv(eu)) == oracles.ext_model_oracle(u[::-1], dead)
 
 
 @given(st.sampled_from("bcd"), model_word_pairs())
@@ -205,47 +226,40 @@ def test_eval_abcd_state_is_a_normal_form(dead, pair):
     assert sv == _handle_element(handle, v)
 
 
-def test_eval_abcd_word_rejects_bad_input():
+def test_eval_abcd_state_rejects_bad_input():
     with pytest.raises(ValueError, match="'e' not in alphabet"):
-        eval_abcd_word("abe")
-    with pytest.raises(ValueError, match="dead letter"):
-        eval_abcd_word("ab", "a")
+        eval_abcd_state("abe")
+    with pytest.raises(ValueError, match="dead letter must be one of b, c, d"):
+        eval_abcd_state("ab", "a")
+    with pytest.raises(ValueError, match="dead letter must be one of b, c, d"):
+        ext_pretwisted_images("a")
 
 
-def test_eval_abcd_word_is_one_pass(monkeypatch):
-    # the word is folded over a compact state: no element arithmetic runs
-    # per letter, so breaking it leaves the value unchanged
+def test_eval_abcd_state_is_one_pass(monkeypatch):
+    # the word is folded over tables built at import: no element arithmetic
+    # runs per letter, so breaking it leaves the value unchanged
     word = "".join("abcd"[pow(3, i, 101) % 4] for i in range(200))
-    want = eval_abcd_word(word, "c")
-    assert want.base.lamps
+    want = eval_abcd_state(word, "c")
+    assert want[0]
 
     def broken(*args):
         raise AssertionError("element arithmetic in the word fold")
 
-    for name in ("ext_multiply", "lamp_multiply", "alpha", "_from_dict"):
+    for name in ("lamp_multiply", "alpha", "_from_dict", "LampElement"):
         monkeypatch.setattr(lamplighter_module, name, broken)
-    assert eval_abcd_word(word, "c") == want
+    assert eval_abcd_state(word, "c") == want
 
 
 def test_abcd_dictionary_relations_all_dead_letters():
+    twist = _twister()
+    e = EXT_STATE_IDENTITY
     for dead in "bcd":
-        images = abcd_images(dead)
-        e = ext_identity()
+        plain, flipped = ext_pretwisted_images(dead)
         for g in "abcd":
-            assert ext_multiply(images[g], images[g]) == e, (dead, g)
-        prod = ext_multiply(ext_multiply(images["b"], images["c"]), images["d"])
-        assert prod == e, dead
-        assert images[dead].base.lamps, dead  # dead letter carries the lamp
-
-
-def test_ext_model_rejects_modulus_other_than_2():
-    # d stands for the lamp generator, which is an involution only over Z_2
-    for n in (3, 5):
-        with pytest.raises(ValueError):
-            ExtLampElement(lamp_identity(n), 0)
-        with pytest.raises(ValueError):
-            ExtLampElement(lamp_s(n), 1)
-    assert ExtLampElement(lamp_s(2), 1).base == lamp_s(2)
+            assert _mul(plain[g], plain[g]) == e, (dead, g)
+            assert flipped[g] == twist(plain[g]), (dead, g)
+        assert _mul(_mul(plain["b"], plain["c"]), plain["d"]) == e, dead
+        assert plain[dead][0], dead  # dead letter carries the lamp
 
 
 def test_eval_st_word():
@@ -258,32 +272,33 @@ def test_eval_st_word():
 # -- shift generators t_i -----------------------------------------------------
 
 def test_t_n_words_land_in_lamp_part():
+    # each t_i is a single lamp: mask 1, shift 0, flip 0
     for i in range(-3, 4):
-        val = lamp_t_n(i)
-        assert val.flip == 0 and val.base.shift == 0
+        mask, _, shift, flip = eval_abcd_state(t_n_word(i))
+        assert (mask, shift, flip) == (1, 0, 0), i
 
 
 def test_t_n_positions_are_distinct():
-    seen = {}
+    lows = []
     for i in range(-4, 5):
-        pos = lamp_t_n(i).base.lamps
-        assert len(pos) == 1
-        assert pos not in seen.values(), (i, pos)
-        seen[i] = pos
+        mask, low, shift, flip = eval_abcd_state(t_n_word(i))
+        assert (mask, shift, flip) == (1, 0, 0), i
+        lows.append(low)
+    assert len(set(lows)) == len(lows)
 
 
 def test_t_n_conjugation_steps_index():
     # (ab) conjugation moves t_i to a neighbouring index
     for i in range(-3, 3):
-        moved = eval_abcd_word("ba" + t_n_word(i) + "ab")
-        assert moved == lamp_t_n(i + 1)
+        moved = eval_abcd_state("ba" + t_n_word(i) + "ab")
+        assert moved == eval_abcd_state(t_n_word(i + 1)), i
 
 
 def test_t_words_commute():
     for i in range(-2, 3):
         for j in range(-2, 3):
-            a, b = lamp_t_n(i), lamp_t_n(j)
-            assert ext_multiply(a, b) == ext_multiply(b, a)
+            ti, tj = t_n_word(i), t_n_word(j)
+            assert eval_abcd_state(ti + tj) == eval_abcd_state(tj + ti), (i, j)
 
 
 # -- structure report ---------------------------------------------------------

@@ -326,12 +326,12 @@ def test_separator_012_vs_021_frozen():
 
 def test_separator_012_vs_model_needs_no_element_arithmetic(monkeypatch):
     # the model handle multiplies (mask, low, shift, flip) states with images
-    # twisted at import, so the ExtLampElement and LampElement arithmetic
-    # can be broken without changing the separator
+    # twisted at import, so LampElement and its arithmetic can be broken
+    # without changing the separator
     def broken(*args):
         raise AssertionError("element arithmetic in the model handle")
 
-    for name in ("ext_multiply", "lamp_multiply", "_from_dict", "alpha"):
+    for name in ("LampElement", "lamp_multiply", "_from_dict", "alpha"):
         monkeypatch.setattr(lamplighter_module, name, broken)
     rep = find_separating_word(grig_handle("(012)"), ext_model_handle(0), 16)
     word = gen_word_from_free(rep.word)
