@@ -334,7 +334,6 @@ def commutator_trivial(i: int, spec: SSpec, n: int) -> bool:
         raise ValueError("i must be nonzero")
     adjacent = ts_predicate(spec)
     x = x_gen(n)
-    y = y_gen(n)
     yi = WElement(gp_empty(n), i)
     x_conj = _conj(x, yi, adjacent)
     assert x_conj.shift == 0 and len(x_conj.word) == 1, "conjugate of x must be a single syllable"

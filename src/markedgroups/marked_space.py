@@ -27,7 +27,8 @@ over each group's element buckets afterwards finds the conflicts: two classes
 sharing one element but not the other exhibit a word trivial in exactly one
 group, and the minimal such total length lambda pins the agreement radius
 exactly: verdicts agree on all words of length < lambda and disagree at
-lambda.
+lambda. The first separator is one depth-first walk over the words of length
+lambda that carries both elements, one multiplication per letter.
 """
 
 from __future__ import annotations
@@ -213,11 +214,8 @@ def growth_sequence(handle: MarkedGroupHandle, n_max: int) -> list[int]:
 @dataclass(slots=True)
 class _LockstepResult:
     lam: int | None  # least conflict length, None if no two classes conflict
-    reps: list[FreeWord]  # joint-class representatives, admission order
     joint: dict[tuple[Hashable, Hashable], int]  # (element in h1, element in h2) -> class
     partnered: list[bool]  # class conflicts with some other class
-    t1: _ClassTable
-    t2: _ClassTable
     invol_both: tuple[bool, ...]
 
 
@@ -262,7 +260,7 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
         layer = next_layer
 
     lam, partnered = _conflicts(reps, t1, t2)
-    return _LockstepResult(lam, reps, joint, partnered, t1, t2, invol_both)
+    return _LockstepResult(lam, joint, partnered, invol_both)
 
 
 def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[int | None, list[bool]]:
@@ -338,72 +336,45 @@ class SeparatorReport:
     trivial_in: str | None
 
 
-def _restricted_words(k: int, length: int, invol: tuple[bool, ...]):
-    """All reduced words of a given length avoiding inverse letters and
-    repeats of involutive generators, in enumeration (lex) order."""
-    directions = _directions(k)
-    word: list[Letter] = []
-
-    def rec():
-        if len(word) == length:
-            yield FreeWord(tuple(word), k)
-            return
-        for letter in _candidate_letters(word, directions, invol):
-            word.append(letter)
-            yield from rec()
-            word.pop()
-
-    yield from rec()
-
-
-def _locate(res: _LockstepResult, w: FreeWord) -> int:
-    """Joint class index of an arbitrary word within the lockstep horizon."""
-    idx = res.joint.get((res.t1.element(w), res.t2.element(w)))
-    assert idx is not None, f"word {w} not covered by the lockstep tables"
-    return idx
-
-
-def _first_separator(res: _LockstepResult, lam: int) -> tuple[FreeWord, int]:
+def _first_separator(res: _LockstepResult, h1: MarkedGroupHandle, h2: MarkedGroupHandle) -> tuple[FreeWord, int]:
     """First word of length lam (enumeration order) with differing verdicts.
 
     Any minimal-length separator lies in the restricted language: flipping an
     involutive inverse letter preserves both verdicts and moves the word
     earlier, and a word with an involutive repeat equals a shorter word in
-    both groups, where verdicts already agree. Each candidate u = p . q
-    (balanced split) is a separator iff the joint classes of p and q^{-1}
-    coincide in exactly one group, so the scan costs two class lookups per
-    word instead of two oracle calls, and a prefix whose class has no
-    conflict partner is skipped outright.
+    both groups, where verdicts already agree. One depth-first walk over that
+    language carries the pair of elements, one multiplication per node. A
+    separator's balanced-split prefix sits in a joint class with a conflict
+    partner, so at the split depth a prefix whose class has none is pruned
+    with its whole subtree.
     """
-    elems1, elems2 = res.t1.elems, res.t2.elems
-    k = res.t1.handle.k
+    lam = res.lam
     h = (lam + 1) // 2
-    inv_class: dict[FreeWord, int] = {}
-    suffixes = None  # built lazily: most prefixes have no conflict partner
-    for p in _restricted_words(k, h, res.invol_both):
-        cp = _locate(res, p)
-        if not res.partnered[cp]:
-            continue
-        if suffixes is None:
-            suffixes = list(_restricted_words(k, lam - h, res.invol_both))
-        p_last = p.letters[-1]
-        for q in suffixes:
-            if q.letters:
-                first = q.letters[0]
-                if first == (p_last[0], -p_last[1]):
-                    continue
-                if res.invol_both[first[0]] and first == p_last:
-                    continue
-            cq = inv_class.get(q)
-            if cq is None:
-                cq = _locate(res, q.inverse())
-                inv_class[q] = cq
-            same1 = elems1[cp] == elems1[cq]
-            same2 = elems2[cp] == elems2[cq]
-            if same1 != same2:
-                u = FreeWord(p.letters + q.letters, k)
-                return u, 0 if same1 else 1
-    raise AssertionError(f"lockstep reported a conflict at total {lam} but no separator was reconstructed")
+    directions = _directions(h1.k)
+    letters: list[Letter] = []
+
+    def walk(e1: Hashable, e2: Hashable) -> int | None:
+        depth = len(letters)
+        if depth == h:
+            idx = res.joint.get((e1, e2))
+            assert idx is not None, f"word {FreeWord(tuple(letters), h1.k)} not covered by the lockstep tables"
+            if not res.partnered[idx]:
+                return None
+        if depth == lam:
+            one1, one2 = e1 == h1.identity, e2 == h2.identity
+            return None if one1 == one2 else (0 if one1 else 1)
+        for letter in _candidate_letters(letters, directions, res.invol_both):
+            letters.append(letter)
+            side = walk(h1.mul(e1, letter), h2.mul(e2, letter))
+            if side is not None:
+                return side
+            letters.pop()
+        return None
+
+    side = walk(h1.identity, h2.identity)
+    if side is None:
+        raise AssertionError(f"lockstep reported a conflict at total {lam} but no separator was reconstructed")
+    return FreeWord(tuple(letters), h1.k), side
 
 
 def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> SeparatorReport:
@@ -413,7 +384,7 @@ def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: 
     result = _lockstep(h1, h2, max_len)
     if result.lam is None or result.lam > max_len:
         return SeparatorReport(None, None, None, None)
-    word, side = _first_separator(result, result.lam)
+    word, side = _first_separator(result, h1, h2)
     label = (h1 if side == 0 else h2).label
     return SeparatorReport(word, len(word), is_square(word), label)
 

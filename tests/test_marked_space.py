@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import markedgroups.grigorchuk as grigorchuk_module
 import markedgroups.handles as handles_module
 import markedgroups.lamplighter as lamplighter_module
+import markedgroups.marked_space as marked_space_module
 import markedgroups.words as words_module
 import oracles
 from markedgroups.grigorchuk import parse_omega
@@ -41,6 +42,8 @@ LAMP = lamplighter_handle(2)
 G012 = grig_handle("(012)")
 G021 = grig_handle("(021)")
 L012 = l_subgroup_handle("(012)")
+L021 = l_subgroup_handle("(021)")
+L12 = l_subgroup_handle("(12)")
 MODEL0 = ext_model_handle(0)
 TRIV2 = trivial_handle(2)
 
@@ -296,10 +299,15 @@ def _first_by_enumeration(h1, h2, max_len):
 
 @pytest.mark.parametrize(
     "h1,h2,max_len",
-    [(LAMP, FREE2, 4), (LAMP, TRIV2, 2), (FREE4, G012, 3), (FREE2, TRIV2, 2)],
+    [
+        (LAMP, FREE2, 4), (LAMP, TRIV2, 2), (FREE4, G012, 3), (FREE2, TRIV2, 2),
+        # length-8 separators: the walk prunes at depth 4 by conflict partners
+        (LAMP, L021, 8), (L012, L12, 8), (L012, L021, 8),
+    ],
 )
 def test_separator_is_first_in_enumeration_order(h1, h2, max_len):
     rep = find_separating_word(h1, h2, max_len)
+    assert rep.word is not None
     assert rep.word == _first_by_enumeration(h1, h2, max_len)
     assert rep.length == len(rep.word)
     assert h1.trivial(rep.word) != h2.trivial(rep.word)
@@ -339,6 +347,25 @@ def test_separator_012_vs_model_needs_no_element_arithmetic(monkeypatch):
     assert (rep.length, rep.square, rep.trivial_in) == (16, True, "G_(0)[model]")
     assert oracles.ext_model_oracle(word, "d") == (frozenset(), 0, 0)
     assert not oracles.oracle_acts_trivially(word, oracles.OMEGA_012, 12)
+
+
+@pytest.mark.parametrize("h1,h2", [(L012, LAMP), (G012, G021)])
+def test_separator_scan_multiplies_no_word_from_identity(monkeypatch, h1, h2):
+    # the scan grows each word by one letter per multiplication: it calls
+    # _ClassTable.element no more often than the lockstep it runs
+    calls = 0
+    element = marked_space_module._ClassTable.element
+
+    def counted(self, w):
+        nonlocal calls
+        calls += 1
+        return element(self, w)
+
+    monkeypatch.setattr(marked_space_module._ClassTable, "element", counted)
+    marked_space_module._lockstep(h1, h2, 16)
+    lockstep_calls, calls = calls, 0
+    assert find_separating_word(h1, h2, 16).word is not None
+    assert calls == lockstep_calls
 
 
 def test_separator_absent_within_bound():
