@@ -19,7 +19,10 @@ Conjugation is h^g = g^{-1} h g throughout the package.
 
 The word problem is solved by contraction: Klein-reduce, kill odd a-parity,
 and recurse on the two level-1 sections, whose lengths drop below the parent's.
-This requires omega not eventually constant (the tree action is not faithful
+It runs on (word, id) pairs: each omega's shift orbit is interned once into
+tables indexed by an int id, and one scan upper-cases the letters after an odd
+number of a's so that each section is one ``str.translate``. This
+requires omega not eventually constant (the tree action is not faithful
 there); constant sequences are served by the wreath model in
 :mod:`markedgroups.lamplighter` via :func:`route_constant`.
 
@@ -182,31 +185,49 @@ def root_parity(w: str) -> int:
     return w.count("a") % 2
 
 
-def _scan_sections(w: str, omega: OmegaWord) -> tuple[str, str]:
-    """One pass over w collecting the words acting on the 0- and 1-subtrees.
+# per interned omega id: the id of its shift; its section tables and dead letters
+_OMEGA_IDS: dict[OmegaWord, int] = {}
+_NEXT: list[int] = []
+_TABLES: list[tuple[dict[int, str], dict[int, str], frozenset[str]]] = []
 
-    Each 'a' toggles which side subsequent letters feed. A non-a letter
-    contributes its spin entry (dropping e) to the current 0-side target and
-    itself to the 1-side target. Valid as stated only for even a-parity.
-    """
-    w0: list[str] = []
-    w1: list[str] = []
-    side = 0
-    sym = omega.first
-    for g in w:
-        if g == "a":
-            side ^= 1
-            continue
-        spin = SPIN[g][sym]
-        if side == 0:
-            if spin != "e":
-                w0.append(spin)
-            w1.append(g)
-        else:
-            w0.append(g)
-            if spin != "e":
-                w1.append(spin)
-    return "".join(w0), "".join(w1)
+
+def _omega_id(omega: OmegaWord, faithful: bool = True) -> int:
+    """Id of omega. The first call interns omega, omega.shift(), ... until the
+    orbit closes on its period start or on an orbit interned before. Unless
+    faithful is False, an eventually constant omega raises: its tree action is
+    not faithful, so the contraction would answer for the wrong group."""
+    if faithful and omega.eventually_constant:
+        raise EventuallyConstantError(
+            f"omega {omega} is eventually constant; use the wreath model (route_constant) or limit_trivial instead"
+        )
+    om = omega
+    while om not in _OMEGA_IDS:
+        _OMEGA_IDS[om] = len(_NEXT)
+        # the scan writes a letter in lower case on side 0, in upper case on side 1
+        spin = {x: SPIN[x][om.first].replace("e", "") for x in "bcd"}
+        t0 = {**spin, "B": "b", "C": "c", "D": "d"}
+        t1 = {x.upper(): y for x, y in spin.items()}
+        # a single letter is trivial iff its spin entry is e at every position,
+        # that is iff omega is constant at the letter's dead symbol
+        dead = frozenset(x for x in "bcd" if om.constant and not spin[x])
+        _TABLES.append((str.maketrans(t0), str.maketrans(t1), dead))
+        om = om.shift()
+        _NEXT.append(_OMEGA_IDS.get(om, len(_NEXT) + 1))
+    return _OMEGA_IDS[omega]
+
+
+def _level1_words(w: str, omega_id: int) -> tuple[str, str]:
+    """The one section scan: the words w_0, w_1 on the subtrees, not reduced.
+
+    The letters after an odd number of a's are upper-cased, then one translate
+    per side maps the letters of its own side to their spin entries and the
+    others to themselves. With p the a-parity, w sends y v to (y ^ p) w_y(v),
+    so this holds for odd words too, such as TreeKeys' single "a"."""
+    parts = w.split("a")
+    parts[1::2] = map(str.upper, parts[1::2])
+    marked = "".join(parts)
+    t0, t1, _ = _TABLES[omega_id]
+    return marked.translate(t0), marked.translate(t1)
 
 
 def sections(w: str, omega: OmegaWord) -> tuple[str, str]:
@@ -216,39 +237,28 @@ def sections(w: str, omega: OmegaWord) -> tuple[str, str]:
     """
     if root_parity(w) != 0:
         raise ValueError("sections are defined for even a-parity words only")
-    w0, w1 = _scan_sections(w, omega)
+    w0, w1 = _level1_words(w, _omega_id(omega, faithful=False))
     return klein_reduce(w0), klein_reduce(w1)
 
 
 @lru_cache(maxsize=1 << 20)
-def _is_trivial_reduced(w: str, omega: OmegaWord) -> bool:
+def _is_trivial_reduced(w: str, omega_id: int) -> bool:
     if not w:
         return True
-    if root_parity(w):
+    if w.count("a") & 1:
         return False
     if len(w) == 1:
-        # single letter from {b,c,d}: trivial iff its spin entry is e at
-        # every position; scanning preperiod plus one period covers all
-        positions = len(omega.preperiod) + len(omega.period)
-        return all(SPIN[w][omega.at(i)] == "e" for i in range(positions))
-    w0, w1 = sections(w, omega)
-    tau = omega.shift()
-    return _is_trivial_reduced(w0, tau) and _is_trivial_reduced(w1, tau)
+        return w in _TABLES[omega_id][2]
+    w0, w1 = _level1_words(w, omega_id)
+    tau = _NEXT[omega_id]
+    return _is_trivial_reduced(klein_reduce(w0), tau) and _is_trivial_reduced(klein_reduce(w1), tau)
 
 
 def is_trivial(w: str, omega: OmegaWord) -> bool:
-    """Decide whether w represents the identity, by contraction.
-
-    Raises EventuallyConstantError when omega is eventually constant: the
-    tree action is not faithful there, so this decision procedure would
-    answer for the wrong group.
-    """
-    if omega.eventually_constant:
-        raise EventuallyConstantError(
-            f"omega {omega} is eventually constant; use the wreath model "
-            "(route_constant) or limit_trivial instead"
-        )
-    return _is_trivial_reduced(klein_reduce(w), omega)
+    """Decide whether w represents the identity, by contraction (eventually
+    constant omega raises: this procedure would answer for the wrong group)."""
+    omega_id = _omega_id(omega)
+    return _is_trivial_reduced(klein_reduce(w), omega_id)
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +279,13 @@ class TreeKeys:
     shortest word has n >= 2 letters have shortest words of fewer letters,
     so the recursion of a product ends at the generator states: e, a, b, c, d
     at each shift of omega, which form a finite automaton since omega is
-    eventually periodic. The automaton is extended by the same-shift pairs
-    of states (a pair is their product, with the transition of the formula
-    above), minimized once by Moore partition refinement, and each class's
-    triple is registered up front. So a product that equals a generator (or
-    e) gets that generator's key, and a generator state times a letter is
-    read from its pair class.
+    eventually periodic; their sections come from the word problem's section
+    scan at the interned ids of omega's shift orbit. The automaton is
+    extended by the same-shift pairs of states (a pair is their product, with
+    the transition of the formula above), minimized once by Moore partition
+    refinement, and each class's triple is registered up front. So a product
+    that equals a generator (or e) gets that generator's key, and a generator
+    state times a letter is read from its pair class.
 
     Keys compare only within one table, and a table serves one omega: make
     one per handle and never share it across omegas. Products grow the
@@ -282,21 +293,18 @@ class TreeKeys:
     """
 
     def __init__(self, omega: OmegaWord):
-        if omega.eventually_constant:
-            raise EventuallyConstantError(f"omega {omega} is eventually constant; tree keys need a faithful action")
-        n = len(omega.preperiod) + len(omega.period)
-        omegas = [omega]
-        for _ in range(n - 1):
-            omegas.append(omegas[-1].shift())
-        # shift index of omega.shift(): past the end, wrap to the period start
-        self._next = list(range(1, n)) + [len(omega.preperiod)]
+        # the interned shift orbit of omega, and the shift index of omega.shift()
+        orbit = [_omega_id(omega)]
+        while _NEXT[orbit[-1]] not in orbit:
+            orbit.append(_NEXT[orbit[-1]])
+        self._next = [orbit.index(_NEXT[i]) for i in orbit]
 
         # the automaton: state -> (parity, section state 0, section state 1);
         # a generator state is (word, shift), a pair is (state, state)
-        singles = [(w, j) for j in range(n) for w in ("", "a", "b", "c", "d")]
+        singles = [(w, j) for j in range(len(orbit)) for w in ("", "a", "b", "c", "d")]
         succ = {}
         for w, j in singles:
-            w0, w1 = _scan_sections(w, omegas[j])
+            w0, w1 = _level1_words(w, orbit[j])
             succ[w, j] = (root_parity(w), (w0, self._next[j]), (w1, self._next[j]))
         pairs = [(u, v) for u in singles for v in singles if u[1] == v[1]]
         for u, v in pairs:
@@ -363,17 +371,17 @@ def order_of(w: str, omega: OmegaWord, max_exp: int = 10) -> int | None:
     order: in G_(01), b = (a, b) at every level, so (ab)^2 = (ba, ab) over
     the shifted sequence and ab has infinite order.
     """
+    omega_id = _omega_id(omega)
     cur = klein_reduce(w)
-    if is_trivial(cur, omega):
-        return 1
-    for k in range(1, max_exp + 1):
-        cur = klein_reduce(cur + cur)
-        if _is_trivial_reduced(cur, omega):
+    for k in range(max_exp + 1):
+        if k:
+            cur = klein_reduce(cur + cur)
+        if _is_trivial_reduced(cur, omega_id):
             return 1 << k
     return None
 
 
-_L_LETTERS = {"x": "d", "X": "d", "y": "ab", "Y": "ba"}
+_L_LETTERS = str.maketrans({"x": "d", "X": "d", "y": "ab", "Y": "ba"})
 
 
 def translate_L_word(w: str) -> str:
@@ -382,20 +390,16 @@ def translate_L_word(w: str) -> str:
     x maps to d (an involution) and y to ab, so the image generates the
     index-2 subgroup <d, ab>. The result is Klein-reduced.
     """
-    out = []
-    for ch in w:
-        if ch.isspace():
-            continue
-        if ch not in _L_LETTERS:
-            raise ValueError(f"unknown L-generator {ch!r}; expected x, y, X or Y")
-        out.append(_L_LETTERS[ch])
-    return klein_reduce("".join(out))
+    w = "".join(w.split())
+    if bad := re.search("[^xyXY]", w):
+        raise ValueError(f"unknown L-generator {bad.group()!r}; expected x, y, X or Y")
+    return klein_reduce(w.translate(_L_LETTERS))
 
 
 @lru_cache(maxsize=128)
-def _window_omega(k: int) -> OmegaWord:
-    """The sequence 0^k(012)... of the limit window."""
-    return OmegaWord((0,) * k, (0, 1, 2))
+def _window_id(k: int) -> int:
+    """Interned id of the sequence 0^k(012)... of the limit window."""
+    return _omega_id(OmegaWord((0,) * k, (0, 1, 2)))
 
 
 def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
@@ -404,7 +408,9 @@ def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
     Evaluates is_trivial(w) in the groups for 0^k(012)... with k running over
     the window; returns the common verdict when all agree and None (unstable)
     otherwise. Window default starts past log2 of the word length, where the
-    contraction has consumed the prefix.
+    contraction has consumed the prefix. w is reduced once, and each 0^k(012)
+    maps to an interned id whose shift orbit runs through the ids of
+    0^{k-1}(012), ..., so the window's contractions share one memo.
     """
     w = klein_reduce(w)
     if k_range is None:
@@ -412,8 +418,7 @@ def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
         k_range = range(base, base + 5)
     if len(k_range) < 3:
         raise ValueError("stability window needs at least 3 values")
-    # w is reduced once, and 0^k(012) is never eventually constant
-    verdicts = {_is_trivial_reduced(w, _window_omega(k)) for k in k_range}
+    verdicts = {_is_trivial_reduced(w, _window_id(k)) for k in k_range}
     if len(verdicts) == 1:
         return verdicts.pop()
     return None

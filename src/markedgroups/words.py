@@ -14,6 +14,7 @@ belongs to the group modules.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -188,14 +189,9 @@ GEN_ALPHABET = "abcd"
 
 # Multiplication table of the Klein four-group {e, b, c, d}: the product of
 # two distinct non-a letters is the third one.
-_KLEIN_PAIR = {
-    ("b", "c"): "d",
-    ("c", "b"): "d",
-    ("b", "d"): "c",
-    ("d", "b"): "c",
-    ("c", "d"): "b",
-    ("d", "c"): "b",
-}
+_KLEIN_PAIR = {(x, y): z for x, y, z in itertools.permutations("bcd")}
+_DROP_GEN = str.maketrans(dict.fromkeys(GEN_ALPHABET))
+_ALTERNATING = re.compile("a?(?:[bcd]a)*[bcd]?")
 
 
 def klein_reduce(w: str) -> str:
@@ -204,23 +200,22 @@ def klein_reduce(w: str) -> str:
     Idempotent and length-nonincreasing; the result never has two adjacent
     letters from {b,c,d} nor two adjacent equal letters.
     """
-    stack: list[str] = []
+    if _ALTERNATING.fullmatch(w):
+        return w
+    bad = w.translate(_DROP_GEN)
+    if bad:
+        raise ValueError(f"letter {bad[0]!r} not in alphabet {GEN_ALPHABET!r}")
+    # the stack stays alternating, so a letter cancels or merges with the top
+    # alone; the bottom "" is a sentinel that does neither
+    stack = [""]
     for ch in w:
-        if ch not in GEN_ALPHABET:
-            raise ValueError(f"letter {ch!r} not in alphabet {GEN_ALPHABET!r}")
-        cur: str | None = ch
-        while cur is not None and stack:
-            top = stack[-1]
-            if top == cur:
-                stack.pop()
-                cur = None
-            elif top != "a" and cur != "a":
-                stack.pop()
-                cur = _KLEIN_PAIR[(top, cur)]
-            else:
-                break
-        if cur is not None:
-            stack.append(cur)
+        top = stack[-1]
+        if top == ch:
+            stack.pop()
+        elif top == "a" or ch == "a" or not top:
+            stack.append(ch)
+        else:
+            stack[-1] = _KLEIN_PAIR[top, ch]
     return "".join(stack)
 
 

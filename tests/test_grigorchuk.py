@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 import oracles
 from markedgroups.grigorchuk import (
     EventuallyConstantError,
+    _level1_words,
+    _omega_id,
     act,
     TreeKeys,
     dead_letter_for,
@@ -123,6 +125,44 @@ def test_section_example():
     assert (klein_reduce(w0), klein_reduce(w1)) == ("ba", "ab")
 
 
+def _leaf_images(om, depth):
+    """word -> the images (as indices) of the 2^depth leaves under act,
+    folded letter by letter as act does, memoised on the prefix."""
+    leaves = ["".join(p) for p in itertools.product("01", repeat=depth)]
+    index = {v: k for k, v in enumerate(leaves)}
+    step = {x: [index[act(x, om, v)] for v in leaves] for x in "abcd"}
+    memo = {"": tuple(range(len(leaves)))}
+
+    def images(w):
+        if w not in memo:
+            memo[w] = tuple(step[w[-1]][k] for k in images(w[:-1]))
+        return memo[w]
+
+    return images
+
+
+@pytest.mark.parametrize("otext", ["(012)", "1(02)", "21(012)", "2(01)", "(0)"])
+def test_section_scan_sweep(otext):
+    # every word of length <= 7, reduced or not: with p its a-parity, w sends
+    # the vertex y v to (y ^ p) w_y(v). Even words go through sections(), odd
+    # ones (TreeKeys' single "a" among them) through the scan itself. Checked
+    # on the 16 leaves of depth 4, so on every vertex of depth <= 4: the
+    # action keeps prefixes
+    om = parse_omega(otext)
+    omega_id = _omega_id(om, faithful=False)
+    top, below = _leaf_images(om, 4), _leaf_images(om.shift(), 3)
+    assert _level1_words("a", omega_id) == ("", "")
+    for n in range(8):
+        for letters in itertools.product("abcd", repeat=n):
+            w = "".join(letters)
+            p = root_parity(w)
+            halves = _level1_words(w, omega_id) if p else sections(w, om)
+            image = top(w)
+            for y in (0, 1):
+                want = tuple(8 * (y ^ p) + k for k in below(halves[y]))
+                assert image[8 * y : 8 * y + 8] == want, (otext, w, y)
+
+
 # -- word problem -------------------------------------------------------------
 
 def test_is_trivial_oracle_agreement_exhaustive():
@@ -134,6 +174,20 @@ def test_is_trivial_oracle_agreement_exhaustive():
                 otext,
                 w,
             )
+
+
+@pytest.mark.parametrize("otext", ["1(02)", "21(012)", "00(012)", "000(012)", "0000(012)"])
+def test_is_trivial_sweep_over_preperiods(otext):
+    # every alternating word of length <= 10, and the powers w^2 .. w^32 of
+    # those of length <= 4. Only the powers contract deep enough to pass the
+    # point where the shift orbit of omega wraps to the period start
+    om = parse_omega(otext)
+    oom = _oracle_omega(otext)
+    words = list(alternating_words(10))
+    for w in alternating_words(4):
+        words += [w * (1 << k) for k in range(1, 6)]
+    for w in words:
+        assert is_trivial(w, om) == oracles.oracle_acts_trivially(w, oom, 10), (otext, w)
 
 
 @given(OMEGA_TEXTS, TREE_WORDS)

@@ -1,7 +1,9 @@
 """Free-word and Klein-reduction layer, checked against exhaustive rewriting."""
 
 import itertools
+import re
 
+import pytest
 from hypothesis import given, strategies as st
 
 import oracles
@@ -35,6 +37,19 @@ def test_klein_matches_exhaustive_rewriting_short():
         for tup in itertools.product("abcd", repeat=n):
             w = "".join(tup)
             assert klein_reduce(w) == oracles.klein_oracle(w), w
+
+
+def test_klein_sweep_through_length_7():
+    # the 16384 words of length 7; the test above sweeps those up to 6
+    for letters in itertools.product("abcd", repeat=7):
+        w = "".join(letters)
+        assert klein_reduce(w) == oracles.klein_oracle(w), w
+
+
+def test_klein_reduce_names_the_first_bad_letter():
+    for word, bad in [("abxcy", "x"), ("q", "q"), ("abcdA", "A"), ("aba\n", "\n"), ("ab cd", " ")]:
+        with pytest.raises(ValueError, match=re.escape(f"letter {bad!r} not in alphabet 'abcd'")):
+            klein_reduce(word)
 
 
 @given(TREE_WORDS)
