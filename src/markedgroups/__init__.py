@@ -70,9 +70,7 @@ from .handles import (
     trivial_handle,
 )
 from .circle_product import (
-    GPWord,
     SSpec,
-    WElement,
     build_s_sequence,
     commutator_trivial,
     gp_reduce,

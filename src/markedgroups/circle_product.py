@@ -8,6 +8,13 @@ which exactly the commutators [x, x^{y^i}] with |i| != m die. That is the
 engine behind the minimality verdict for the presentation
 < s, t | s^n, [s, s^{t^i}] (i >= 1) >.
 
+An element of the graph product K is its normal form, a tuple of (vertex,
+exponent) syllables returned by `gp_reduce`. An element of W = K x| Z is a
+pair (syllables, shift) with identity ((), 0); it has one product, (w1, z1)
+(w2, z2) = (w1 . translate(w2, z1), z1 + z2), and one inverse, (w, z)^-1 =
+(translate(w^-1, -z), -z), each reduced by one `gp_reduce` call. So x is
+(((0, 1),), 0), y is ((), 1), and two W elements are equal iff their pairs are.
+
 Two sequence variants are built from the same odd-step gap rule; they differ
 in the even-index closed form (multiplier m+1 versus m+2). The original
 variant puts m into S - S (for m = 2 via 9 - 7), which defeats the intended
@@ -27,20 +34,8 @@ __all__ = [
     "in_difference_set",
     "ts_adjacent",
     "verify_difference_window",
-    "GPWord",
-    "gp_empty",
-    "gp_syllable",
-    "gp_concat",
-    "gp_inverse",
-    "gp_translate",
     "gp_reduce",
     "ts_predicate",
-    "WElement",
-    "w_identity",
-    "w_multiply",
-    "w_inverse",
-    "x_gen",
-    "y_gen",
     "commutator_trivial",
     "verify_minimality",
 ]
@@ -175,50 +170,9 @@ def verify_difference_window(spec: SSpec, window: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Graph-product words
+# Graph-product words: tuples of (vertex, exponent) syllables
 
-
-@dataclass(frozen=True, slots=True)
-class GPWord:
-    """Word in the graph product: syllables (vertex, exponent mod n), n >= 2."""
-
-    syllables: tuple[tuple[int, int], ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("modulus must be >= 2")
-        for v, e in self.syllables:
-            if not 1 <= e <= self.n - 1:
-                raise ValueError(f"syllable exponent {e} out of range 1..{self.n - 1}")
-
-    def __len__(self) -> int:
-        return len(self.syllables)
-
-
-def gp_empty(n: int) -> GPWord:
-    return GPWord((), n)
-
-
-def gp_syllable(vertex: int, exponent: int, n: int) -> GPWord:
-    exponent %= n
-    if exponent == 0:
-        return gp_empty(n)
-    return GPWord(((vertex, exponent),), n)
-
-
-def gp_concat(u: GPWord, v: GPWord) -> GPWord:
-    if u.n != v.n:
-        raise ValueError("modulus mismatch")
-    return GPWord(u.syllables + v.syllables, u.n)
-
-
-def gp_inverse(u: GPWord) -> GPWord:
-    return GPWord(tuple((v, u.n - e) for v, e in reversed(u.syllables)), u.n)
-
-
-def gp_translate(u: GPWord, z: int) -> GPWord:
-    return GPWord(tuple((v + z, e) for v, e in u.syllables), u.n)
+Syllables = tuple[tuple[int, int], ...]
 
 
 def _check_adjacency(adjacent: Callable[[int, int], bool], vertices: set[int]) -> None:
@@ -229,19 +183,19 @@ def _check_adjacency(adjacent: Callable[[int, int], bool], vertices: set[int]) -
                 raise ValueError(f"adjacency predicate not symmetric on ({u}, {v})")
 
 
-def gp_reduce(w: GPWord, adjacent: Callable[[int, int], bool]) -> GPWord:
-    """Normal form: merge to a fixpoint, then canonical commuting order.
+def gp_reduce(syllables: Syllables, n: int, adjacent: Callable[[int, int], bool]) -> Syllables:
+    """Normal form of a word in the graph product of copies of Z_n, n >= 2.
 
-    Leftmost merge: the first syllable that can reach a same-vertex syllable
-    across commuting material absorbs it (exponents mod n, zeros drop).
-    The fixpoint is merge-free; ordering its syllables by greedily fronting
-    the least (vertex, exponent) among those that commute to the front makes
-    the form canonical (equal group elements give equal GPWords), which is
-    what WElement equality relies on.
+    Exponents are taken mod n and zeros drop. Leftmost merge: the first
+    syllable that can reach a same-vertex syllable across commuting material
+    absorbs it. The fixpoint is merge-free; ordering its syllables by greedily
+    fronting the least (vertex, exponent) among those that commute to the
+    front makes the form canonical: equal group elements give equal tuples.
     """
-    _check_adjacency(adjacent, {v for v, _ in w.syllables})
-    n = w.n
-    syl = [(v, e % n) for v, e in w.syllables]
+    if n < 2:
+        raise ValueError("modulus must be >= 2")
+    _check_adjacency(adjacent, {v for v, _ in syllables})
+    syl = [(v, e % n) for v, e in syllables]
     syl = [(v, e) for v, e in syl if e != 0]
 
     changed = True
@@ -281,67 +235,42 @@ def gp_reduce(w: GPWord, adjacent: Callable[[int, int], bool]) -> GPWord:
         assert best is not None  # the first syllable is always frontable
         out.append(rest[best])
         del rest[best]
-    return GPWord(tuple(out), n)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# The extension W = K x| Z (shift acts by translation)
+# The extension W = K x| Z: (syllables, shift) pairs, the shift translating
 
 
-@dataclass(frozen=True, slots=True)
-class WElement:
-    """Element (word, shift) of the graph product extended by the shift."""
-
-    word: GPWord
-    shift: int
-
-
-def w_identity(n: int) -> WElement:
-    return WElement(gp_empty(n), 0)
-
-
-def w_multiply(u: WElement, v: WElement, adjacent: Callable[[int, int], bool]) -> WElement:
+def _w_mul(u: tuple[Syllables, int], v: tuple[Syllables, int], n: int, adjacent) -> tuple[Syllables, int]:
     """(w1, z1)(w2, z2) = (w1 . translate(w2, z1), z1 + z2), reduced."""
-    prod = gp_concat(u.word, gp_translate(v.word, u.shift))
-    return WElement(gp_reduce(prod, adjacent), u.shift + v.shift)
+    (w1, z1), (w2, z2) = u, v
+    return gp_reduce(w1 + tuple((x + z1, e) for x, e in w2), n, adjacent), z1 + z2
 
 
-def w_inverse(u: WElement, adjacent: Callable[[int, int], bool]) -> WElement:
-    return WElement(gp_reduce(gp_translate(gp_inverse(u.word), -u.shift), adjacent), -u.shift)
-
-
-def x_gen(n: int) -> WElement:
-    """x: the vertex-0 generator of its Z_n."""
-    return WElement(gp_syllable(0, 1, n), 0)
-
-
-def y_gen(n: int) -> WElement:
-    """y: the shift."""
-    return WElement(gp_empty(n), 1)
-
-
-def _conj(u: WElement, g: WElement, adjacent) -> WElement:
-    return w_multiply(w_multiply(w_inverse(g, adjacent), u, adjacent), g, adjacent)
-
-
-def _commutator(u: WElement, v: WElement, adjacent) -> WElement:
-    return w_multiply(w_multiply(w_inverse(u, adjacent), w_inverse(v, adjacent), adjacent), w_multiply(u, v, adjacent), adjacent)
+def _w_inverse(u: tuple[Syllables, int], n: int, adjacent) -> tuple[Syllables, int]:
+    """(w, z)^-1 = (translate(w^-1, -z), -z), reduced."""
+    w, z = u
+    return gp_reduce(tuple((x - z, -e) for x, e in reversed(w)), n, adjacent), -z
 
 
 def commutator_trivial(i: int, spec: SSpec, n: int) -> bool:
-    """Whether [x, x^{y^i}] dies in W; must match the T_S edge prediction."""
+    """Whether [x, x^{y^i}] dies in W; must match the T_S edge prediction.
+
+    x = (((0, 1),), 0) is the vertex-0 generator and y^i = ((), i) the shift,
+    so x^{y^i} is the single syllable at vertex -i.
+    """
     if i == 0:
         raise ValueError("i must be nonzero")
     adjacent = ts_predicate(spec)
-    x = x_gen(n)
-    yi = WElement(gp_empty(n), i)
-    x_conj = _conj(x, yi, adjacent)
-    assert x_conj.shift == 0 and len(x_conj.word) == 1, "conjugate of x must be a single syllable"
-    result = _commutator(x, x_conj, adjacent)
-    verdict = result.shift == 0 and len(result.word) == 0
-    predicted = ts_adjacent(0, x_conj.word.syllables[0][0], spec)
+    x, y_i = (((0, 1),), 0), ((), i)
+    x_conj = _w_mul(_w_mul(_w_inverse(y_i, n, adjacent), x, n, adjacent), y_i, n, adjacent)
+    assert x_conj == (((-i, 1),), 0), f"x^(y^{i}) must be the syllable at vertex {-i}"
+    inverses = _w_mul(_w_inverse(x, n, adjacent), _w_inverse(x_conj, n, adjacent), n, adjacent)
+    result = _w_mul(inverses, _w_mul(x, x_conj, n, adjacent), n, adjacent)
+    verdict = result == ((), 0)
+    predicted = ts_adjacent(0, -i, spec)
     assert verdict == predicted, f"reduction and T_S edge disagree at i={i}"
-    assert predicted == in_difference_set(i, spec), "edge test must be translation invariant"
     return verdict
 
 
@@ -368,11 +297,11 @@ def verify_minimality(n: int, m: int, window: int, variant: str = "corrected") -
     commutators = [{"i": i, "trivial": commutator_trivial(i, spec, n), "expected": i != m} for i in indices]
     grid_ok = all(row["trivial"] == row["expected"] for row in commutators)
 
-    x = x_gen(n)
+    x = (((0, 1),), 0)
     power = x
     for _ in range(n - 1):
-        power = w_multiply(power, x, adjacent)
-    power_trivial = power.shift == 0 and len(power.word) == 0
+        power = _w_mul(power, x, n, adjacent)
+    power_trivial = power == ((), 0)
 
     r_m_trivial = commutators[m - 1]["trivial"] if m <= window else commutator_trivial(m, spec, n)
     others_trivial = all(row["trivial"] for row in commutators if row["i"] != m)

@@ -1,30 +1,22 @@
 """Difference-set sequences, graph products, and the minimality pipeline."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
 
 import oracles
 from markedgroups.circle_product import (
-    GPWord,
     SSpec,
+    _w_inverse,
+    _w_mul,
     build_s_sequence,
     commutator_trivial,
-    gp_concat,
-    gp_empty,
-    gp_inverse,
     gp_reduce,
-    gp_syllable,
-    gp_translate,
     in_difference_set,
     ts_adjacent,
     ts_predicate,
     verify_difference_window,
     verify_minimality,
-    w_identity,
-    w_inverse,
-    w_multiply,
-    x_gen,
-    y_gen,
 )
 from markedgroups.sampling import Lcg, sample_gp_syllables
 
@@ -34,7 +26,15 @@ M2_CORR = SSpec(2, "corrected")
 
 def _rand_word(rng, n, max_syllables, window=9):
     count = rng.randrange(max_syllables + 1)
-    return GPWord(sample_gp_syllables(rng, count, window, n), n)
+    return sample_gp_syllables(rng, count, window, n)
+
+
+def _inverse(w, n):
+    return tuple((v, n - e) for v, e in reversed(w))
+
+
+def _translate(w, z):
+    return tuple((v + z, e) for v, e in w)
 
 
 # -- sequences ----------------------------------------------------------------
@@ -139,23 +139,17 @@ def _adj(spec):
 
 def test_gp_reduce_merges_and_cancels():
     n = 3
-    w = gp_concat(gp_syllable(0, 1, n), gp_syllable(0, 2, n))
-    assert gp_reduce(w, _adj(M2_CORR)) == gp_empty(n)  # exponents mod 3
-    w = gp_concat(gp_syllable(0, 1, n), gp_syllable(0, 1, n))
-    assert gp_reduce(w, _adj(M2_CORR)) == gp_syllable(0, 2, n)
+    assert gp_reduce(((0, 1), (0, 2)), n, _adj(M2_CORR)) == ()  # exponents mod 3
+    assert gp_reduce(((0, 1), (0, 1)), n, _adj(M2_CORR)) == ((0, 2),)
 
 
 def test_gp_reduce_commutes_adjacent_vertices():
     n = 2
     spec = M2_CORR
-    a = gp_concat(gp_syllable(0, 1, n), gp_syllable(1, 1, n))
-    b = gp_concat(gp_syllable(1, 1, n), gp_syllable(0, 1, n))
     assert ts_adjacent(0, 1, spec)
-    assert gp_reduce(a, _adj(spec)) == gp_reduce(b, _adj(spec))
+    assert gp_reduce(((0, 1), (1, 1)), n, _adj(spec)) == gp_reduce(((1, 1), (0, 1)), n, _adj(spec))
     # non-adjacent vertices (delta = 2 = m) do not commute
-    c = gp_concat(gp_syllable(0, 1, n), gp_syllable(2, 1, n))
-    d = gp_concat(gp_syllable(2, 1, n), gp_syllable(0, 1, n))
-    assert gp_reduce(c, _adj(spec)) != gp_reduce(d, _adj(spec))
+    assert gp_reduce(((0, 1), (2, 1)), n, _adj(spec)) != gp_reduce(((2, 1), (0, 1)), n, _adj(spec))
 
 
 def test_gp_reduce_idempotent_random():
@@ -163,8 +157,8 @@ def test_gp_reduce_idempotent_random():
     adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 10)
-        r = gp_reduce(w, adj)
-        assert gp_reduce(r, adj) == r
+        r = gp_reduce(w, 2, adj)
+        assert gp_reduce(r, 2, adj) == r
 
 
 def test_gp_reduce_is_congruence_random():
@@ -173,8 +167,8 @@ def test_gp_reduce_is_congruence_random():
     for _ in range(300):
         u = _rand_word(rng, 2, 6, window=7)
         v = _rand_word(rng, 2, 6, window=7)
-        lhs = gp_reduce(gp_concat(gp_reduce(u, adj), gp_reduce(v, adj)), adj)
-        assert lhs == gp_reduce(gp_concat(u, v), adj)
+        lhs = gp_reduce(gp_reduce(u, 2, adj) + gp_reduce(v, 2, adj), 2, adj)
+        assert lhs == gp_reduce(u + v, 2, adj)
 
 
 def test_gp_inverse_cancels_random():
@@ -182,7 +176,7 @@ def test_gp_inverse_cancels_random():
     adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 3, 8)
-        assert gp_reduce(gp_concat(w, gp_inverse(w)), adj) == gp_empty(3)
+        assert gp_reduce(w + _inverse(w, 3), 3, adj) == ()
 
 
 def test_gp_translate_commutes_with_reduce():
@@ -190,21 +184,24 @@ def test_gp_translate_commutes_with_reduce():
     adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 8)
-        assert gp_reduce(gp_translate(w, 3), adj) == gp_translate(gp_reduce(w, adj), 3)
+        assert gp_reduce(_translate(w, 3), 2, adj) == _translate(gp_reduce(w, 2, adj), 3)
         # translation invariance of the defining graph makes this sound
-        assert gp_reduce(gp_translate(w, -2), adj) == gp_translate(
-            gp_reduce(w, adj), -2
-        )
+        assert gp_reduce(_translate(w, -2), 2, adj) == _translate(gp_reduce(w, 2, adj), -2)
 
 
-def test_gp_syllable_normalizes_exponent():
-    assert gp_syllable(0, 0, 2) == gp_empty(2)
-    assert gp_syllable(0, 2, 2) == gp_empty(2)
-    assert gp_syllable(0, -1, 3) == gp_syllable(0, 2, 3)
+def test_gp_reduce_normalizes_exponents():
+    adj = _adj(M2_CORR)
+    assert gp_reduce(((0, 0),), 2, adj) == ()
+    assert gp_reduce(((0, 2),), 2, adj) == ()
+    assert gp_reduce(((0, -1),), 3, adj) == ((0, 2),)
+    assert gp_reduce(((0, 7), (1, -4)), 3, adj) == ((0, 1), (1, 2))
+
+
+def test_gp_reduce_rejects_bad_input():
     with pytest.raises(ValueError):
-        GPWord(((0, 2),), 2)  # raw constructor does validate
+        gp_reduce(((0, 1),), 1, _adj(M2_CORR))
     with pytest.raises(ValueError):
-        GPWord(((0, 0),), 3)
+        gp_reduce(((0, 1), (1, 1)), 2, lambda u, v: u < v)
 
 
 # -- reflection-matrix oracle -------------------------------------------------
@@ -214,12 +211,34 @@ def test_matrix_oracle_agrees_with_reduction():
     adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 10)
-        reduced_empty = len(gp_reduce(w, adj).syllables) == 0
-        assert reduced_empty == oracles.racg_matrix_oracle(w.syllables, adj, (-4, 4)), w
+        reduced_empty = gp_reduce(w, 2, adj) == ()
+        assert reduced_empty == oracles.racg_matrix_oracle(w, adj, (-4, 4)), w
         # and a guaranteed identity built from the same sample
-        ww = gp_concat(w, gp_inverse(w))
-        assert oracles.racg_matrix_oracle(ww.syllables, adj, (-4, 4))
-        assert len(gp_reduce(ww, adj).syllables) == 0
+        ww = w + _inverse(w, 2)
+        assert oracles.racg_matrix_oracle(ww, adj, (-4, 4))
+        assert gp_reduce(ww, 2, adj) == ()
+
+
+def _words_up_to(length, vertices):
+    return [w for k in range(length + 1) for w in product([(v, 1) for v in vertices], repeat=k)]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gp_reduce_sweep_against_matrix_oracle(m):
+    # every n = 2 word of <= 5 syllables over vertices -2..2: the normal form
+    # is () iff the word is trivial; and for u, v of <= 3 syllables the normal
+    # forms agree iff u v^-1 is trivial, so equal elements get equal forms
+    adj = _adj(SSpec(m))
+    window = (-2, 2)
+    vertices = range(window[0], window[1] + 1)
+    for w in _words_up_to(5, vertices):
+        assert (gp_reduce(w, 2, adj) == ()) == oracles.racg_matrix_oracle(w, adj, window), w
+    short = _words_up_to(3, vertices)
+    forms = [gp_reduce(w, 2, adj) for w in short]
+    for j, (u, fu) in enumerate(zip(short, forms)):
+        # both sides are symmetric in u and v, so pairs with v no later suffice
+        for v, fv in zip(short[: j + 1], forms):
+            assert (fu == fv) == oracles.racg_matrix_oracle(u + _inverse(v, 2), adj, window), (u, v)
 
 
 def test_matrix_oracle_frozen_cases():
@@ -235,15 +254,46 @@ def test_matrix_oracle_frozen_cases():
 
 # -- the W group and minimality reports ---------------------------------------
 
-def test_w_group_laws():
-    spec = M2_CORR
-    adj = _adj(spec)
-    x, y = x_gen(2), y_gen(2)
-    e = w_identity(2)
-    assert w_multiply(x, x, adj) == e  # x is an involution in the n=2 case
-    assert w_multiply(y, w_inverse(y, adj), adj) == e
-    xy = w_multiply(x, y, adj)
-    assert w_multiply(w_inverse(xy, adj), xy, adj) == e
+W_IDENTITY = ((), 0)
+
+
+def _rand_w(rng, n, adj):
+    """A W element: a sampled word in normal form and a shift in -4..4."""
+    return gp_reduce(_rand_word(rng, n, 6, window=7), n, adj), rng.randrange(9) - 4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_w_group_laws_on_sampled_elements(n):
+    adj = _adj(M2_CORR)
+    rng = Lcg(10 + n)
+
+    def mul(u, v):
+        return _w_mul(u, v, n, adj)
+
+    for _ in range(100):
+        u, v, w = (_rand_w(rng, n, adj) for _ in range(3))
+        assert mul(W_IDENTITY, u) == u == mul(u, W_IDENTITY)
+        u_inv = _w_inverse(u, n, adj)
+        assert mul(u, u_inv) == W_IDENTITY == mul(u_inv, u)
+        assert mul(mul(u, v), w) == mul(u, mul(v, w))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_w_generator_x_has_order_n(n):
+    adj = _adj(M2_CORR)
+    x = (((0, 1),), 0)
+    power = x
+    for k in range(1, n):
+        assert power != W_IDENTITY, k
+        power = _w_mul(power, x, n, adj)
+    assert power == W_IDENTITY
+
+
+def test_commutator_trivial_rejects_bad_input():
+    with pytest.raises(ValueError):
+        commutator_trivial(1, M2_CORR, 1)
+    with pytest.raises(ValueError):
+        commutator_trivial(0, M2_CORR, 2)
 
 
 def test_commutator_grid_matches_difference_predicate():

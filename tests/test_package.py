@@ -1,6 +1,7 @@
-"""The package as a whole: its public names resolve, and it needs only the
-standard library."""
+"""The package as a whole: its public names resolve, the README's library
+example runs as documented, and it needs only the standard library."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -12,7 +13,8 @@ import pytest
 
 import markedgroups
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 MODULES = sorted(f"markedgroups.{info.name}" for info in pkgutil.iter_modules(markedgroups.__path__))
 
 
@@ -52,3 +54,22 @@ def test_package_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_block_runs_as_documented():
+    # the README's "Library" python block runs, and every expression line
+    # with a trailing comment evaluates to the repr that comment shows
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        line = lines[stmt.end_lineno - 1]
+        if isinstance(stmt, ast.Expr) and "  # " in line:
+            value = eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace)
+            shown.append((line.split("  # ", 1)[1].strip(), repr(value)))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    assert all(comment == result for comment, result in shown), shown
+    assert {"False", "4", "AgreeRadius(n=7, exact=True)"} <= {comment for comment, _ in shown}
