@@ -8,11 +8,12 @@ which exactly the commutators [x, x^{y^i}] with |i| != m die. That is the
 engine behind the minimality verdict for the presentation
 < s, t | s^n, [s, s^{t^i}] (i >= 1) >.
 
-An element of the graph product K is its normal form, a tuple of (vertex,
-exponent) syllables returned by `gp_reduce`. An element of W = K x| Z is a
-pair (syllables, shift) with identity ((), 0); it has one product, (w1, z1)
-(w2, z2) = (w1 . translate(w2, z1), z1 + z2), and one inverse, (w, z)^-1 =
-(translate(w^-1, -z), -z), each reduced by one `gp_reduce` call. So x is
+The graph product K over T_S, the only graph, has canonical normal forms:
+`gp_reduce(syllables, n, spec)` reduces a (vertex, exponent) word in one
+pass, reading adjacency from the memoized difference set, then fronts it.
+An element of W = K x| Z is a pair (syllables, shift) with identity ((), 0);
+its product (w1, z1) (w2, z2) = (w1 . translate(w2, z1), z1 + z2) and inverse
+(w, z)^-1 = (translate(w^-1, -z), -z) each make one `gp_reduce` call. So x is
 (((0, 1),), 0), y is ((), 1), and two W elements are equal iff their pairs are.
 
 Two sequence variants are built from the same odd-step gap rule; they differ
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 __all__ = [
     "SSpec",
@@ -35,7 +35,6 @@ __all__ = [
     "ts_adjacent",
     "verify_difference_window",
     "gp_reduce",
-    "ts_predicate",
     "commutator_trivial",
     "verify_minimality",
 ]
@@ -111,10 +110,6 @@ def ts_adjacent(v1: int, v2: int, spec: SSpec) -> bool:
     return in_difference_set(v1 - v2, spec)
 
 
-def ts_predicate(spec: SSpec) -> Callable[[int, int], bool]:
-    return lambda u, v: ts_adjacent(u, v, spec)
-
-
 def verify_difference_window(spec: SSpec, window: int) -> dict:
     """Three clauses on S - S over |delta| <= window, with witnesses.
 
@@ -148,14 +143,10 @@ def verify_difference_window(spec: SSpec, window: int) -> dict:
             clause_iii = {"pass": False, "witness": {"kind": "odd_gap", "j": j}}
             break
     if clause_iii["pass"]:
-        for k in range(len(seq)):
-            for l in range(k + 2, len(seq)):
-                if seq[l] - seq[k] <= m:
-                    clause_iii = {"pass": False, "witness": {"kind": "two_apart", "pair": [seq[l], seq[k]]}}
-                    break
-            else:
-                continue
-            break
+        # S increases, so the closest pair at least two apart from k is (k, k + 2)
+        k = next((k for k in range(len(seq) - 2) if seq[k + 2] - seq[k] <= m), None)
+        if k is not None:
+            clause_iii = {"pass": False, "witness": {"kind": "two_apart", "pair": [seq[k + 2], seq[k]]}}
 
     ok = clause_i["pass"] and clause_ii["pass"] and clause_iii["pass"]
     return {
@@ -175,53 +166,39 @@ def verify_difference_window(spec: SSpec, window: int) -> dict:
 Syllables = tuple[tuple[int, int], ...]
 
 
-def _check_adjacency(adjacent: Callable[[int, int], bool], vertices: set[int]) -> None:
-    verts = sorted(vertices)
-    for i, u in enumerate(verts):
-        for v in verts[i + 1 :]:
-            if adjacent(u, v) != adjacent(v, u):
-                raise ValueError(f"adjacency predicate not symmetric on ({u}, {v})")
+def gp_reduce(syllables: Syllables, n: int, spec: SSpec) -> Syllables:
+    """Normal form of a word in the graph product of copies of Z_n over T_S, n >= 2.
 
-
-def gp_reduce(syllables: Syllables, n: int, adjacent: Callable[[int, int], bool]) -> Syllables:
-    """Normal form of a word in the graph product of copies of Z_n, n >= 2.
-
-    Exponents are taken mod n and zeros drop. Leftmost merge: the first
-    syllable that can reach a same-vertex syllable across commuting material
-    absorbs it. The fixpoint is merge-free; ordering its syllables by greedily
-    fronting the least (vertex, exponent) among those that commute to the
-    front makes the form canonical: equal group elements give equal tuples.
+    One pass keeps the word reduced: each syllable, exponent mod n, scans back
+    across syllables of other, adjacent vertices, merges into the first one of
+    its own vertex (the pair drops at exponent 0), or is appended at the first
+    non-adjacent one. Reduced words for one element differ only by shuffles
+    (Green's normal form theorem), so greedily fronting the least (vertex,
+    exponent) among the syllables that commute to the front is canonical.
     """
     if n < 2:
         raise ValueError("modulus must be >= 2")
-    _check_adjacency(adjacent, {v for v, _ in syllables})
-    syl = [(v, e % n) for v, e in syllables]
-    syl = [(v, e) for v, e in syl if e != 0]
+    m, variant = spec.m, spec.variant
 
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(syl):
-            vi, ei = syl[i]
-            k = i + 1
-            while k < len(syl):
-                vk, ek = syl[k]
-                if vk == vi:
-                    merged = (ei + ek) % n
-                    del syl[k]
-                    if merged == 0:
-                        del syl[i]
-                    else:
-                        syl[i] = (vi, merged)
-                    changed = True
-                    break
-                if not adjacent(vi, vk):
-                    break
-                k += 1
-            if changed:
-                break
-            i += 1
+    def adjacent(u: int, v: int) -> bool:
+        return _in_difference_set(abs(u - v), m, variant)
+
+    syl: list[tuple[int, int]] = []
+    for v, e in syllables:
+        e %= n
+        if e == 0:
+            continue
+        k = len(syl) - 1
+        while k >= 0 and syl[k][0] != v and adjacent(syl[k][0], v):
+            k -= 1
+        if k >= 0 and syl[k][0] == v:
+            e = (syl[k][1] + e) % n
+            if e:
+                syl[k] = (v, e)
+            else:
+                del syl[k]
+        else:
+            syl.append((v, e))
 
     out: list[tuple[int, int]] = []
     rest = syl
@@ -242,16 +219,16 @@ def gp_reduce(syllables: Syllables, n: int, adjacent: Callable[[int, int], bool]
 # The extension W = K x| Z: (syllables, shift) pairs, the shift translating
 
 
-def _w_mul(u: tuple[Syllables, int], v: tuple[Syllables, int], n: int, adjacent) -> tuple[Syllables, int]:
+def _w_mul(u: tuple[Syllables, int], v: tuple[Syllables, int], n: int, spec: SSpec) -> tuple[Syllables, int]:
     """(w1, z1)(w2, z2) = (w1 . translate(w2, z1), z1 + z2), reduced."""
     (w1, z1), (w2, z2) = u, v
-    return gp_reduce(w1 + tuple((x + z1, e) for x, e in w2), n, adjacent), z1 + z2
+    return gp_reduce(w1 + tuple((x + z1, e) for x, e in w2), n, spec), z1 + z2
 
 
-def _w_inverse(u: tuple[Syllables, int], n: int, adjacent) -> tuple[Syllables, int]:
+def _w_inverse(u: tuple[Syllables, int], n: int, spec: SSpec) -> tuple[Syllables, int]:
     """(w, z)^-1 = (translate(w^-1, -z), -z), reduced."""
     w, z = u
-    return gp_reduce(tuple((x - z, -e) for x, e in reversed(w)), n, adjacent), -z
+    return gp_reduce(tuple((x - z, -e) for x, e in reversed(w)), n, spec), -z
 
 
 def commutator_trivial(i: int, spec: SSpec, n: int) -> bool:
@@ -262,12 +239,11 @@ def commutator_trivial(i: int, spec: SSpec, n: int) -> bool:
     """
     if i == 0:
         raise ValueError("i must be nonzero")
-    adjacent = ts_predicate(spec)
     x, y_i = (((0, 1),), 0), ((), i)
-    x_conj = _w_mul(_w_mul(_w_inverse(y_i, n, adjacent), x, n, adjacent), y_i, n, adjacent)
+    x_conj = _w_mul(_w_mul(_w_inverse(y_i, n, spec), x, n, spec), y_i, n, spec)
     assert x_conj == (((-i, 1),), 0), f"x^(y^{i}) must be the syllable at vertex {-i}"
-    inverses = _w_mul(_w_inverse(x, n, adjacent), _w_inverse(x_conj, n, adjacent), n, adjacent)
-    result = _w_mul(inverses, _w_mul(x, x_conj, n, adjacent), n, adjacent)
+    inverses = _w_mul(_w_inverse(x, n, spec), _w_inverse(x_conj, n, spec), n, spec)
+    result = _w_mul(inverses, _w_mul(x, x_conj, n, spec), n, spec)
     verdict = result == ((), 0)
     predicted = ts_adjacent(0, -i, spec)
     assert verdict == predicted, f"reduction and T_S edge disagree at i={i}"
@@ -291,7 +267,6 @@ def verify_minimality(n: int, m: int, window: int, variant: str = "corrected") -
         raise ValueError("modulus must be >= 2")
     spec = SSpec(m, variant)
     diff_report = verify_difference_window(spec, window)
-    adjacent = ts_predicate(spec)
 
     indices = range(1, window + 1)
     commutators = [{"i": i, "trivial": commutator_trivial(i, spec, n), "expected": i != m} for i in indices]
@@ -300,10 +275,10 @@ def verify_minimality(n: int, m: int, window: int, variant: str = "corrected") -
     x = (((0, 1),), 0)
     power = x
     for _ in range(n - 1):
-        power = _w_mul(power, x, n, adjacent)
+        power = _w_mul(power, x, n, spec)
     power_trivial = power == ((), 0)
 
-    r_m_trivial = commutators[m - 1]["trivial"] if m <= window else commutator_trivial(m, spec, n)
+    r_m_trivial = commutators[m - 1]["trivial"]
     others_trivial = all(row["trivial"] for row in commutators if row["i"] != m)
     witness_ok = power_trivial and others_trivial and not r_m_trivial
 

@@ -16,7 +16,7 @@ import oracles
 from markedgroups.circle_product import (
     SSpec,
     gp_reduce,
-    ts_predicate,
+    ts_adjacent,
     verify_minimality,
 )
 from markedgroups.cli import main
@@ -264,7 +264,7 @@ def test_criterion_09_minimality_grid():
 
 
 def _matrix_comparison_report(seed):
-    adj = ts_predicate(SSpec(2, "corrected"))
+    spec = SSpec(2, "corrected")
     rng = Lcg(seed)
     rows = []
     for _ in range(1000):
@@ -272,8 +272,8 @@ def _matrix_comparison_report(seed):
         syllables = tuple(
             (rng.randrange(9) - 4, 1) for _ in range(count)
         )
-        reduced_empty = gp_reduce(syllables, 2, adj) == ()
-        matrix_empty = oracles.racg_matrix_oracle(syllables, adj, (-4, 4))
+        reduced_empty = gp_reduce(syllables, 2, spec) == ()
+        matrix_empty = oracles.racg_matrix_oracle(syllables, lambda u, v: ts_adjacent(u, v, spec), (-4, 4))
         rows.append(
             {"syllables": list(map(list, syllables)), "reduced": reduced_empty, "matrix": matrix_empty}
         )

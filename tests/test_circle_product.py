@@ -4,9 +4,11 @@ from itertools import product
 
 import pytest
 
+import markedgroups.circle_product as circle_product
 import oracles
 from markedgroups.circle_product import (
     SSpec,
+    _in_difference_set,
     _w_inverse,
     _w_mul,
     build_s_sequence,
@@ -14,7 +16,6 @@ from markedgroups.circle_product import (
     gp_reduce,
     in_difference_set,
     ts_adjacent,
-    ts_predicate,
     verify_difference_window,
     verify_minimality,
 )
@@ -35,6 +36,15 @@ def _inverse(w, n):
 
 def _translate(w, z):
     return tuple((v + z, e) for v, e in w)
+
+
+def _words_up_to(length, letters):
+    return [w for k in range(length + 1) for w in product(letters, repeat=k)]
+
+
+def _edges(spec):
+    """The T_S edge test as a predicate, for the oracle."""
+    return lambda u, v: ts_adjacent(u, v, spec)
 
 
 # -- sequences ----------------------------------------------------------------
@@ -109,8 +119,6 @@ def test_ts_adjacency():
     assert ts_adjacent(3, 0, spec)
     with pytest.raises(ValueError):
         ts_adjacent(1, 1, spec)
-    pred = ts_predicate(spec)
-    assert pred(5, 6) == ts_adjacent(5, 6, spec)
 
 
 def test_verify_difference_window_corrected_passes():
@@ -131,96 +139,114 @@ def test_verify_difference_window_original_fails_with_witness():
     assert (hi, lo) == oracles.DIFFERENCE_WITNESS_ORIGINAL[2]
 
 
+def test_verify_difference_window_two_apart_clause_fails(monkeypatch):
+    # S with every odd gap intact but a_2 - a_1 = 1, so a_2 - a_0 = 2 <= m:
+    # clause iii names the first pair two apart that is too close
+    real = build_s_sequence(M2_CORR, 100)
+    fake = real[:2] + [a - 3 for a in real[2:]]
+    assert all(a < b for a, b in zip(fake, fake[1:]))
+    monkeypatch.setattr(circle_product, "build_s_sequence", lambda spec, count: fake[:count])
+    _in_difference_set.cache_clear()  # memoized membership would see the fake S
+    try:
+        rep = verify_difference_window(M2_CORR, 12)
+    finally:
+        _in_difference_set.cache_clear()
+    assert rep["verdict"] == "fail"
+    clause = rep["clause_iii_gap_identities"]
+    assert clause == {"pass": False, "witness": {"kind": "two_apart", "pair": [2, 0]}}
+
+
 # -- graph-product words ------------------------------------------------------
-
-def _adj(spec):
-    return ts_predicate(spec)
-
 
 def test_gp_reduce_merges_and_cancels():
     n = 3
-    assert gp_reduce(((0, 1), (0, 2)), n, _adj(M2_CORR)) == ()  # exponents mod 3
-    assert gp_reduce(((0, 1), (0, 1)), n, _adj(M2_CORR)) == ((0, 2),)
+    assert gp_reduce(((0, 1), (0, 2)), n, M2_CORR) == ()  # exponents mod 3
+    assert gp_reduce(((0, 1), (0, 1)), n, M2_CORR) == ((0, 2),)
 
 
 def test_gp_reduce_commutes_adjacent_vertices():
     n = 2
     spec = M2_CORR
     assert ts_adjacent(0, 1, spec)
-    assert gp_reduce(((0, 1), (1, 1)), n, _adj(spec)) == gp_reduce(((1, 1), (0, 1)), n, _adj(spec))
+    assert gp_reduce(((0, 1), (1, 1)), n, spec) == gp_reduce(((1, 1), (0, 1)), n, spec)
     # non-adjacent vertices (delta = 2 = m) do not commute
-    assert gp_reduce(((0, 1), (2, 1)), n, _adj(spec)) != gp_reduce(((2, 1), (0, 1)), n, _adj(spec))
+    assert gp_reduce(((0, 1), (2, 1)), n, spec) != gp_reduce(((2, 1), (0, 1)), n, spec)
 
 
 def test_gp_reduce_idempotent_random():
     rng = Lcg(5)
-    adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 10)
-        r = gp_reduce(w, 2, adj)
-        assert gp_reduce(r, 2, adj) == r
+        r = gp_reduce(w, 2, M2_CORR)
+        assert gp_reduce(r, 2, M2_CORR) == r
 
 
 def test_gp_reduce_is_congruence_random():
     rng = Lcg(6)
-    adj = _adj(M2_CORR)
     for _ in range(300):
         u = _rand_word(rng, 2, 6, window=7)
         v = _rand_word(rng, 2, 6, window=7)
-        lhs = gp_reduce(gp_reduce(u, 2, adj) + gp_reduce(v, 2, adj), 2, adj)
-        assert lhs == gp_reduce(u + v, 2, adj)
+        lhs = gp_reduce(gp_reduce(u, 2, M2_CORR) + gp_reduce(v, 2, M2_CORR), 2, M2_CORR)
+        assert lhs == gp_reduce(u + v, 2, M2_CORR)
 
 
 def test_gp_inverse_cancels_random():
     rng = Lcg(7)
-    adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 3, 8)
-        assert gp_reduce(w + _inverse(w, 3), 3, adj) == ()
+        assert gp_reduce(w + _inverse(w, 3), 3, M2_CORR) == ()
 
 
 def test_gp_translate_commutes_with_reduce():
     rng = Lcg(8)
-    adj = _adj(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 8)
-        assert gp_reduce(_translate(w, 3), 2, adj) == _translate(gp_reduce(w, 2, adj), 3)
+        assert gp_reduce(_translate(w, 3), 2, M2_CORR) == _translate(gp_reduce(w, 2, M2_CORR), 3)
         # translation invariance of the defining graph makes this sound
-        assert gp_reduce(_translate(w, -2), 2, adj) == _translate(gp_reduce(w, 2, adj), -2)
+        assert gp_reduce(_translate(w, -2), 2, M2_CORR) == _translate(gp_reduce(w, 2, M2_CORR), -2)
 
 
 def test_gp_reduce_normalizes_exponents():
-    adj = _adj(M2_CORR)
-    assert gp_reduce(((0, 0),), 2, adj) == ()
-    assert gp_reduce(((0, 2),), 2, adj) == ()
-    assert gp_reduce(((0, -1),), 3, adj) == ((0, 2),)
-    assert gp_reduce(((0, 7), (1, -4)), 3, adj) == ((0, 1), (1, 2))
+    assert gp_reduce(((0, 0),), 2, M2_CORR) == ()
+    assert gp_reduce(((0, 2),), 2, M2_CORR) == ()
+    assert gp_reduce(((0, -1),), 3, M2_CORR) == ((0, 2),)
+    assert gp_reduce(((0, 7), (1, -4)), 3, M2_CORR) == ((0, 1), (1, 2))
 
 
 def test_gp_reduce_rejects_bad_input():
     with pytest.raises(ValueError):
-        gp_reduce(((0, 1),), 1, _adj(M2_CORR))
-    with pytest.raises(ValueError):
-        gp_reduce(((0, 1), (1, 1)), 2, lambda u, v: u < v)
+        gp_reduce(((0, 1),), 1, M2_CORR)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_gp_reduce_n3_sweep_laws(m):
+    # every n = 3 word of <= 5 syllables over vertices -1..1, exponents 1..2:
+    # the reduction is idempotent and w w^-1 reduces to (); and for u of <= 2
+    # and v of <= 3 syllables, reducing the parts first changes nothing
+    spec = SSpec(m)
+    words = _words_up_to(5, [(v, e) for v in (-1, 0, 1) for e in (1, 2)])
+    forms = {w: gp_reduce(w, 3, spec) for w in words}
+    for w, form in forms.items():
+        assert gp_reduce(form, 3, spec) == form, w
+        assert gp_reduce(w + _inverse(w, 3), 3, spec) == (), w
+    for u in (w for w in words if len(w) <= 2):
+        for v in (w for w in words if len(w) <= 3):
+            assert gp_reduce(forms[u] + forms[v], 3, spec) == forms[u + v], (u, v)
 
 
 # -- reflection-matrix oracle -------------------------------------------------
 
 def test_matrix_oracle_agrees_with_reduction():
     rng = Lcg(9)
-    adj = _adj(M2_CORR)
+    adj = _edges(M2_CORR)
     for _ in range(200):
         w = _rand_word(rng, 2, 10)
-        reduced_empty = gp_reduce(w, 2, adj) == ()
+        reduced_empty = gp_reduce(w, 2, M2_CORR) == ()
         assert reduced_empty == oracles.racg_matrix_oracle(w, adj, (-4, 4)), w
         # and a guaranteed identity built from the same sample
         ww = w + _inverse(w, 2)
         assert oracles.racg_matrix_oracle(ww, adj, (-4, 4))
-        assert gp_reduce(ww, 2, adj) == ()
-
-
-def _words_up_to(length, vertices):
-    return [w for k in range(length + 1) for w in product([(v, 1) for v in vertices], repeat=k)]
+        assert gp_reduce(ww, 2, M2_CORR) == ()
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -228,13 +254,14 @@ def test_gp_reduce_sweep_against_matrix_oracle(m):
     # every n = 2 word of <= 5 syllables over vertices -2..2: the normal form
     # is () iff the word is trivial; and for u, v of <= 3 syllables the normal
     # forms agree iff u v^-1 is trivial, so equal elements get equal forms
-    adj = _adj(SSpec(m))
+    spec = SSpec(m)
+    adj = _edges(spec)
     window = (-2, 2)
-    vertices = range(window[0], window[1] + 1)
-    for w in _words_up_to(5, vertices):
-        assert (gp_reduce(w, 2, adj) == ()) == oracles.racg_matrix_oracle(w, adj, window), w
-    short = _words_up_to(3, vertices)
-    forms = [gp_reduce(w, 2, adj) for w in short]
+    letters = [(v, 1) for v in range(window[0], window[1] + 1)]
+    for w in _words_up_to(5, letters):
+        assert (gp_reduce(w, 2, spec) == ()) == oracles.racg_matrix_oracle(w, adj, window), w
+    short = _words_up_to(3, letters)
+    forms = [gp_reduce(w, 2, spec) for w in short]
     for j, (u, fu) in enumerate(zip(short, forms)):
         # both sides are symmetric in u and v, so pairs with v no later suffice
         for v, fv in zip(short[: j + 1], forms):
@@ -242,7 +269,7 @@ def test_gp_reduce_sweep_against_matrix_oracle(m):
 
 
 def test_matrix_oracle_frozen_cases():
-    adj = _adj(M2_CORR)
+    adj = _edges(M2_CORR)
     assert oracles.racg_matrix_oracle((), adj, (-2, 2))
     assert not oracles.racg_matrix_oracle(((0, 1),), adj, (-2, 2))
     assert oracles.racg_matrix_oracle(((0, 1), (0, 1)), adj, (-2, 2))
@@ -257,35 +284,33 @@ def test_matrix_oracle_frozen_cases():
 W_IDENTITY = ((), 0)
 
 
-def _rand_w(rng, n, adj):
+def _rand_w(rng, n, spec):
     """A W element: a sampled word in normal form and a shift in -4..4."""
-    return gp_reduce(_rand_word(rng, n, 6, window=7), n, adj), rng.randrange(9) - 4
+    return gp_reduce(_rand_word(rng, n, 6, window=7), n, spec), rng.randrange(9) - 4
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_w_group_laws_on_sampled_elements(n):
-    adj = _adj(M2_CORR)
     rng = Lcg(10 + n)
 
     def mul(u, v):
-        return _w_mul(u, v, n, adj)
+        return _w_mul(u, v, n, M2_CORR)
 
     for _ in range(100):
-        u, v, w = (_rand_w(rng, n, adj) for _ in range(3))
+        u, v, w = (_rand_w(rng, n, M2_CORR) for _ in range(3))
         assert mul(W_IDENTITY, u) == u == mul(u, W_IDENTITY)
-        u_inv = _w_inverse(u, n, adj)
+        u_inv = _w_inverse(u, n, M2_CORR)
         assert mul(u, u_inv) == W_IDENTITY == mul(u_inv, u)
         assert mul(mul(u, v), w) == mul(u, mul(v, w))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_w_generator_x_has_order_n(n):
-    adj = _adj(M2_CORR)
     x = (((0, 1),), 0)
     power = x
     for k in range(1, n):
         assert power != W_IDENTITY, k
-        power = _w_mul(power, x, n, adj)
+        power = _w_mul(power, x, n, M2_CORR)
     assert power == W_IDENTITY
 
 
@@ -315,6 +340,11 @@ def test_minimality_corrected_passes():
         assert rep["power_relator"]["trivial"]
         assert rep["homomorphism_witness"]["witness_ok"]
         assert all(c["trivial"] == c["expected"] for c in rep["commutators"])
+
+
+def test_minimality_rejects_window_not_above_m():
+    with pytest.raises(ValueError):
+        verify_minimality(2, 5, 5)
 
 
 def test_minimality_original_fails_for_m2():

@@ -43,6 +43,13 @@ def lamp_elements(draw, n=None):
     return LampElement(n, lamps, draw(st.integers(-3, 3)))
 
 
+@st.composite
+def lamp_triples(draw):
+    # one modulus for all three, so every draw is a product that is defined
+    n = draw(MODS)
+    return tuple(draw(lamp_elements(n=n)) for _ in range(3))
+
+
 def _as_pair(u):
     return (dict(u.lamps), u.shift)
 
@@ -62,10 +69,9 @@ def test_multiply_matches_independent_model(u, v):
     assert lamp_multiply(u, v) == _oracle_mult(u, v)
 
 
-@given(lamp_elements(), lamp_elements(), lamp_elements())
-def test_lamp_associative(u, v, w):
-    if not (u.n == v.n == w.n):
-        return
+@given(lamp_triples())
+def test_lamp_associative(triple):
+    u, v, w = triple
     assert lamp_multiply(lamp_multiply(u, v), w) == lamp_multiply(u, lamp_multiply(v, w))
 
 
@@ -82,6 +88,38 @@ def test_lamp_metabelian(u):
     v = lamp_multiply(u, lamp_t(u.n))
     c1 = lamp_commutator(u, v)
     assert c1.shift == 0
+
+
+def _small_lamp_elements(n, positions, shifts):
+    """Every element with its lamps inside `positions` and its shift in `shifts`."""
+    out = []
+    for values in product(range(n), repeat=len(positions)):
+        lamps = tuple((p, val) for p, val in zip(positions, values) if val)
+        out.extend(LampElement(n, lamps, z) for z in shifts)
+    return out
+
+
+def test_lamp_multiply_sweep_against_independent_model():
+    # every pair of n = 2 elements with lamps in -2..2 and shift in -2..2
+    elements = _small_lamp_elements(2, range(-2, 3), range(-2, 3))
+    for u in elements:
+        for v in elements:
+            assert lamp_multiply(u, v) == _oracle_mult(u, v), (u, v)
+
+
+def test_lamp_group_laws_sweep_n3():
+    # every n = 3 element with lamps in {0, 1} and shift in -1..1: identity,
+    # two-sided inverse, and associativity over all triples
+    elements = _small_lamp_elements(3, (0, 1), (-1, 0, 1))
+    e = lamp_identity(3)
+    for u in elements:
+        u_inv = lamp_inverse(u)
+        assert lamp_multiply(e, u) == u == lamp_multiply(u, e)
+        assert lamp_multiply(u, u_inv) == e == lamp_multiply(u_inv, u)
+        for v in elements:
+            uv = lamp_multiply(u, v)
+            for w in elements:
+                assert lamp_multiply(uv, w) == lamp_multiply(u, lamp_multiply(v, w)), (u, v, w)
 
 
 def test_lamp_generators():
