@@ -55,10 +55,6 @@ CAP_THREADS = 16
 SCHEMA = 1
 
 
-class DomainError(ValueError):
-    """Input outside the supported domain (exit 3)."""
-
-
 def _check_caps(bounds: dict[str, tuple[int, int]], threads: int = 1, seed: int = DEFAULT_SEED) -> None:
     """Reject a run before any work starts when a bound is negative or past
     its safety cap, or the thread count or seed is out of range."""
@@ -90,16 +86,15 @@ def _notice(msg: str) -> None:
 
 
 def _tree_handle(omega: OmegaWord, generators: int) -> MarkedGroupHandle:
-    """Faithful handle for the sequence, routing constants to the models."""
+    """Faithful handle for the sequence, routing constants to the models.
+
+    Any other eventually constant sequence has no faithful handle: the tree
+    handles raise EventuallyConstantError for it (exit 3).
+    """
     if omega.constant:
         symbol = omega.first
         _notice(f"omega {omega} is constant: using the wreath-product model")
         return ext_model_handle(symbol) if generators == 4 else lamplighter_handle(2)
-    if omega.eventually_constant:
-        raise DomainError(
-            f"omega {omega} is eventually constant but not constant; "
-            "no faithful handle is available for it"
-        )
     return grig_handle(omega) if generators == 4 else l_subgroup_handle(omega)
 
 
@@ -369,9 +364,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except EventuallyConstantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

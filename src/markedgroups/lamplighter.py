@@ -31,10 +31,11 @@ tuple (mask, low, shift, flip) standing for (lamps, shift) . a^flip. Bit i
 of mask is the lamp at low + i, and mask is odd, or mask and low are both
 0, so equal elements are equal tuples. Right multiplication by (base, f)
 adds twist^flip(base) at the cursor: the masks are aligned and XORed, the
-shifts added and the flips XORed. The twist is alpha as the module global
-reads when a product or report is set up (the identity for the structure
-report's negative control), applied through ``LampElement`` once per state
-and memoised.
+shifts added and the flips XORed. The twist is ``alpha``, which acts on
+states directly: it reverses the mask, moves low to the reflected end and
+negates the shift. It is read as the module global when a product or report
+is set up (the identity for the structure report's negative control), so no
+``LampElement`` is built for it.
 
 Every a..d word is one fold: one ``ext_state_mul`` per letter, by the
 letter's image twisted ahead of time for the current flip. The tables of
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .grigorchuk import route_constant
+from .grigorchuk import dead_letter_for, route_constant
 from .words import FreeWord
 
 __all__ = [
@@ -127,15 +128,6 @@ def lamp_commutator(u: LampElement, v: LampElement) -> LampElement:
     return lamp_multiply(lamp_multiply(lamp_inverse(u), lamp_inverse(v)), lamp_multiply(u, v))
 
 
-def alpha(u: LampElement) -> LampElement:
-    """The involutive automorphism with alpha(s) = t s t^{-1}, alpha(t) = t^{-1}.
-
-    On normal forms: reflect lamp positions through the point 1/2 and negate
-    the shift. Re-derived rather than assumed; see the module docstring.
-    """
-    return _from_dict(u.n, {1 - p: v for p, v in u.lamps}, -u.shift)
-
-
 ExtState = tuple[int, int, int, int]  # (mask, low, shift, flip); see the module docstring
 EXT_STATE_IDENTITY: ExtState = (0, 0, 0, 0)
 
@@ -147,21 +139,6 @@ def _state(positions: Iterable[int], shift: int, flip: int) -> ExtState:
         return (0, 0, shift, flip)
     low = min(positions)
     return (sum(1 << (p - low) for p in positions), low, shift, flip)
-
-
-def _lamp_state(base: LampElement, flip: int) -> ExtState:
-    """The state of base . a^flip for a base over Z_2."""
-    return _state((p for p, _ in base.lamps), base.shift, flip)
-
-
-def _state_base(s: ExtState) -> LampElement:
-    mask, low, shift, _ = s
-    lamps = []
-    while mask:
-        bit = mask & -mask
-        lamps.append((low + bit.bit_length() - 1, 1))
-        mask ^= bit
-    return LampElement(2, tuple(lamps), shift)
 
 
 def ext_state_mul(u: ExtState, v: ExtState) -> ExtState:
@@ -185,21 +162,17 @@ def ext_state_mul(u: ExtState, v: ExtState) -> ExtState:
     return (mask >> tz, l1 + tz, z1 + z2, f1 ^ f2)
 
 
-def _twister(identity: bool = False) -> Callable[[ExtState], ExtState]:
-    """The twist on states, memoised per state: alpha as the module global
-    reads now, or the identity map when asked for (the negative control)."""
-    if identity:
-        return lambda s: s
-    fn = alpha
-    memo: dict[ExtState, ExtState] = {}
+def alpha(s: ExtState) -> ExtState:
+    """The involutive automorphism with alpha(s) = t s t^{-1}, alpha(t) = t^{-1}.
 
-    def twist(s: ExtState) -> ExtState:
-        t = memo.get(s)
-        if t is None:
-            t = memo[s] = _lamp_state(fn(_state_base(s)), s[3])
-        return t
-
-    return twist
+    On states: reflect the lamp positions through the point 1/2, so the mask
+    is read backwards, negate the shift and keep the flip. Re-derived rather
+    than assumed; see the module docstring.
+    """
+    mask, low, shift, flip = s
+    if not mask:
+        return (0, 0, -shift, flip)
+    return (int(f"{mask:b}"[::-1], 2), 2 - low - mask.bit_length(), -shift, flip)
 
 
 def _state_multiply(twist: Callable[[ExtState], ExtState], u: ExtState, v: ExtState) -> ExtState:
@@ -224,14 +197,16 @@ def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
     return acc
 
 
+_S: ExtState = (1, 0, 0, 0)  # the lamp at position 0
+_T: ExtState = (0, 0, 1, 0)  # the bare shift
+
+
 def _abcd_states(twist: Callable[[ExtState], ExtState]) -> dict[str, ExtState]:
-    """Images of a, b, c, d with d dead, from s and t as the module reads them."""
+    """Images of a, b, c, d with d dead, from s and t through the twist."""
     a_img = (0, 0, 0, 1)
-    d_img = _lamp_state(lamp_s(), 0)
-    t_img = _lamp_state(lamp_t(), 0)
-    b_img = _state_multiply(twist, a_img, t_img)  # b = a.t since t = ab and a is an involution
-    c_img = _state_multiply(twist, b_img, d_img)  # c = b.d since bcd = e
-    return {"a": a_img, "b": b_img, "c": c_img, "d": d_img}
+    b_img = _state_multiply(twist, a_img, _T)  # b = a.t since t = ab and a is an involution
+    c_img = _state_multiply(twist, b_img, _S)  # c = b.d since bcd = e
+    return {"a": a_img, "b": b_img, "c": c_img, "d": _S}
 
 
 LetterTables = tuple[Mapping[str, ExtState], Mapping[str, ExtState]]
@@ -248,12 +223,12 @@ def _letter_tables(twist: Callable[[ExtState], ExtState], images: Mapping[str, E
 
 def _pretwisted_tables() -> dict[str, LetterTables]:
     """Letter tables for each dead letter, relabelled from the d-dead images."""
-    twist = _twister()
-    canonical = _abcd_states(twist)
+    canonical = _abcd_states(alpha)
     tables = {}
-    for dead, symbol in (("d", 0), ("c", 1), ("b", 2)):
+    for symbol in range(3):
         relabel = route_constant(symbol)
-        tables[dead] = _letter_tables(twist, {letter: canonical[relabel[letter]] for letter in "abcd"})
+        images = {letter: canonical[relabel[letter]] for letter in "abcd"}
+        tables[dead_letter_for(symbol)] = _letter_tables(alpha, images)
     return tables
 
 
@@ -296,7 +271,6 @@ _PRETWISTED = _pretwisted_tables()
 
 
 def _verify_dictionaries() -> None:
-    twist = _twister()
     for dead in "bcd":
         for rel in _RELATIONS:
             val = eval_abcd_state(rel, dead)
@@ -306,14 +280,14 @@ def _verify_dictionaries() -> None:
         for x in "abcd":
             for y in "abcd":
                 val = eval_abcd_state(x + y, dead)
-                want = _state_multiply(twist, images[x], images[y])
+                want = _state_multiply(alpha, images[x], images[y])
                 assert val == want, f"step {x}{y} fails in the {dead}-dead model: {val}"
     # the product ab must land on the bare shift in the standard dictionary
-    assert eval_abcd_state("ab", "d") == _lamp_state(lamp_t(), 0)
-    # alpha really is the stated automorphism: involutive, fixes the defining images
-    s, t = lamp_s(), lamp_t()
-    assert alpha(t) == lamp_inverse(t)
-    assert alpha(s) == lamp_multiply(t, lamp_multiply(s, lamp_inverse(t)))
+    assert eval_abcd_state("ab", "d") == _T
+    # alpha really is the stated automorphism on the generators
+    t_inv = _state_inverse(alpha, _T)
+    assert alpha(_T) == t_inv
+    assert alpha(_S) == _state_multiply(alpha, _state_multiply(alpha, _T, _S), t_inv)
 
 
 _verify_dictionaries()
@@ -346,7 +320,7 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
         raise ValueError("window must be >= 1")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    twist = _twister(identity=corrupt_alpha)
+    twist = (lambda s: s) if corrupt_alpha else alpha
     mult = lambda u, v: _state_multiply(twist, u, v)
     tables = _letter_tables(twist, _abcd_states(twist))
 

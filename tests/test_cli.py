@@ -79,6 +79,22 @@ def test_wp_eventually_constant_rejected(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("growth", "--family", "grig", "--omega", "1(0)", "--nmax", "2"),
+        ("growth", "--family", "l", "--omega", "1(0)", "--nmax", "2"),
+        ("separate", "--omega1", "(012)", "--omega2", "1(0)", "--lmax", "4"),
+    ],
+    ids=["growth-grig", "growth-l", "separate"],
+)
+def test_eventually_constant_is_a_domain_error(capsys, argv):
+    # the tree handles refuse the sequence before any output is written
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_DOMAIN and out == ""
+    assert "eventually constant" in err
+
+
 def test_wp_word_length_cap(capsys):
     code, _, err = run(capsys, "wp", "--family", "grig", "--omega", "(012)", "--word", "ab" * 13)
     assert code == EXIT_USAGE

@@ -375,6 +375,38 @@ def test_separator_absent_within_bound():
     assert find_separating_word(G012, G021, 0) == rep
 
 
+# x = d and y = ab as a..d letters, each letter's inverse spelled backwards
+_XY_SPELLING = {(0, 1): ((3, 1),), (0, -1): ((3, -1),), (1, 1): ((0, 1), (1, 1)), (1, -1): ((1, -1), (0, -1))}
+
+
+def _model_l_handle(symbol):
+    """The subgroup <d, ab> of the extension model for the constant sequence
+    (symbol), marked with (x, y) = (d, ab)."""
+    model = ext_model_handle(symbol)
+
+    def trivial(w):
+        return model.trivial(FreeWord(tuple(x for letter in w.letters for x in _XY_SPELLING[letter]), 4))
+
+    def mul(elem, letter):
+        for x in _XY_SPELLING[letter]:
+            elem = model.mul(elem, x)
+        return elem
+
+    return make_handle(f"L_({symbol})[model]", ("x", "y"), trivial, model.identity, mul)
+
+
+def test_model_l_subgroup_is_lamp2_only_for_symbol_0():
+    # the CLI's two-generator handle for every constant omega is lamp2; that
+    # matches <d, ab> in the model for symbol 0 up to the horizon, but for
+    # symbols 1 and 2 a short word is trivial in the model and not in lamp2
+    for symbol, word in ((1, "xyxyxyxy"), (2, "yyyy")):
+        rep = find_separating_word(_model_l_handle(symbol), LAMP, 12)
+        assert word_to_str(rep.word, ("x", "y")) == word, symbol
+        assert rep.trivial_in == f"L_({symbol})[model]"
+    r = agree_radius(_model_l_handle(0), LAMP, 6)
+    assert (r.n, r.exact) == (6, False)
+
+
 # -- csv surfaces -------------------------------------------------------------
 
 def test_growth_csv_bytes():

@@ -103,6 +103,35 @@ def test_free_reduce_respects_concat(a, b):
     assert free_reduce(free_concat(free_reduce(u), free_reduce(v))) == free_reduce(free_concat(u, v))
 
 
+def _rank2_words(max_len):
+    """Every letter sequence over s, t and their inverses, reduced or not."""
+    letters = [(i, sign) for i in (0, 1) for sign in (1, -1)]
+    return [FreeWord(w, 2) for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
+
+
+def test_free_reduce_laws_sweep():
+    # idempotence, inverse cancellation and the string round trip over the
+    # 1365 words of length <= 5; the reduced form has no cancelling pair
+    words = _rank2_words(5)
+    assert len(words) == 1365
+    for w in words:
+        r = free_reduce(w)
+        assert free_reduce(r) == r, w
+        assert all(x != (y[0], -y[1]) for x, y in zip(r.letters, r.letters[1:])), w
+        assert len(free_reduce(free_concat(w, w.inverse()))) == 0, w
+        assert len(free_reduce(free_concat(w.inverse(), w))) == 0, w
+        assert word_from_str(word_to_str(r, ("s", "t")), ("s", "t")) == r, w
+
+
+def test_free_reduce_respects_concat_sweep():
+    # every pair of words of length <= 3
+    words = _rank2_words(3)
+    reduced = [free_reduce(w) for w in words]
+    for u, ru in zip(words, reduced):
+        for v, rv in zip(words, reduced):
+            assert free_reduce(free_concat(ru, rv)) == free_reduce(free_concat(u, v)), (u, v)
+
+
 def test_free_ball_counts_frozen():
     assert [free_ball_count(2, n) for n in range(4)] == list(oracles.FREE_COUNTS_K2)
     assert [free_ball_count(2, n) for n in range(4)] == oracles.brute_free_counts(2, 3)
