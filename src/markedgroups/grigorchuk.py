@@ -29,7 +29,7 @@ there); constant sequences are served by the wreath model in
 Every element also has an exact key (:class:`TreeKeys`): the interned triple
 (root parity, key of section 0, key of section 1). A key is multiplied by a
 letter through its sections, and the recursion closes off at the minimized
-automaton of the generator states and their pairwise products.
+automaton of the Klein forms of length <= 2, which are closed under sections.
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ def root_parity(w: str) -> int:
     return w.count("a") % 2
 
 
-# per interned omega id: the id of its shift; its section tables and dead letters
+# per interned omega id: the id of its shift, and its two section tables
 _OMEGA_IDS: dict[OmegaWord, int] = {}
 _NEXT: list[int] = []
-_TABLES: list[tuple[dict[int, str], dict[int, str], frozenset[str]]] = []
+_TABLES: list[tuple[dict[int, str], dict[int, str]]] = []
 
 
 def _omega_id(omega: OmegaWord, faithful: bool = True) -> int:
@@ -205,10 +205,7 @@ def _omega_id(omega: OmegaWord, faithful: bool = True) -> int:
         spin = {x: SPIN[x][om.first].replace("e", "") for x in "bcd"}
         t0 = {**spin, "B": "b", "C": "c", "D": "d"}
         t1 = {x.upper(): y for x, y in spin.items()}
-        # a single letter is trivial iff its spin entry is e at every position,
-        # that is iff omega is constant at the letter's dead symbol
-        dead = frozenset(x for x in "bcd" if om.constant and not spin[x])
-        _TABLES.append((str.maketrans(t0), str.maketrans(t1), dead))
+        _TABLES.append((str.maketrans(t0), str.maketrans(t1)))
         om = om.shift()
         _NEXT.append(_OMEGA_IDS.get(om, len(_NEXT) + 1))
     return _OMEGA_IDS[omega]
@@ -224,7 +221,7 @@ def _level1_words(w: str, omega_id: int) -> tuple[str, str]:
     parts = w.split("a")
     parts[1::2] = map(str.upper, parts[1::2])
     marked = "".join(parts)
-    t0, t1, _ = _TABLES[omega_id]
+    t0, t1 = _TABLES[omega_id]
     return marked.translate(t0), marked.translate(t1)
 
 
@@ -243,10 +240,9 @@ def sections(w: str, omega: OmegaWord) -> tuple[str, str]:
 def _is_trivial_reduced(w: str, omega_id: int) -> bool:
     if not w:
         return True
-    if w.count("a") & 1:
+    # b, c and d are nontrivial, since omega is not eventually constant
+    if len(w) == 1 or w.count("a") & 1:
         return False
-    if len(w) == 1:
-        return w in _TABLES[omega_id][2]
     w0, w1 = _level1_words(w, omega_id)
     tau = _NEXT[omega_id]
     return _is_trivial_reduced(klein_reduce(w0), tau) and _is_trivial_reduced(klein_reduce(w1), tau)
@@ -275,15 +271,14 @@ class TreeKeys:
     The tree handles use a key as the element itself and multiply it by one
     letter at a time (:meth:`mul`). The sections of an element whose
     shortest word has n >= 2 letters have shortest words of fewer letters,
-    so the recursion of a product ends at the generator states: e, a, b, c, d
-    at each shift of omega, which form a finite automaton since omega is
-    eventually periodic; their sections come from the word problem's section
-    scan at the interned ids of omega's shift orbit. The automaton is
-    extended by the same-shift pairs of states (a pair is their product, with
-    the transition of the formula above), minimized once by Moore partition
-    refinement, and each class's triple is registered up front. So a product
-    that equals a generator (or e) gets that generator's key, and a generator
-    state times a letter is read from its pair class.
+    so the recursion of a product ends at e or a letter times a letter: a
+    Klein form of length <= 2, whose sections have length <= 1. These forms
+    at each shift of omega make a finite automaton, since omega is eventually
+    periodic, with transitions from the word problem's section scan. It is
+    minimized once by Moore partition refinement (two shifts with the same
+    successor can carry one element: c at 0(012) and at (201) is (a, c) over
+    (012)), and each class's triple is registered up front, so a product that
+    equals a short form gets that form's key.
 
     Keys compare only within one table, and a table serves one omega: make
     one per handle and never share it across omegas. Products grow the
@@ -297,18 +292,14 @@ class TreeKeys:
             orbit.append(_NEXT[orbit[-1]])
         self._next = [orbit.index(_NEXT[i]) for i in orbit]
 
-        # the automaton: state -> (parity, section state 0, section state 1);
-        # a generator state is (word, shift), a pair is (state, state)
-        singles = [(w, j) for j in range(len(orbit)) for w in ("", "a", "b", "c", "d")]
+        # the automaton: state -> (parity, section state 0, section state 1).
+        # A state (w, j) is a Klein form of length <= 2 at shift j; its
+        # sections have length <= 1, so the states are closed under sections
+        states = [(w, j) for j in range(len(orbit)) for w in ("", *"abcd", "ab", "ac", "ad", "ba", "ca", "da")]
         succ = {}
-        for w, j in singles:
+        for w, j in states:
             w0, w1 = _level1_words(w, orbit[j])
             succ[w, j] = (root_parity(w), (w0, self._next[j]), (w1, self._next[j]))
-        pairs = [(u, v) for u in singles for v in singles if u[1] == v[1]]
-        for u, v in pairs:
-            (pu, u0, u1), (pv, v0, v1) = succ[u], succ[v]
-            succ[u, v] = (pu ^ pv, (u0, (v0, v1)[pu]), (u1, (v1, v0)[pu]))
-        states = singles + pairs
         # Moore refinement: split blocks by (parity, block of each section)
         block = {s: succ[s][0] for s in states}
         while True:
@@ -326,10 +317,12 @@ class TreeKeys:
             self._intern[triple] = block[s]
             self._triples[block[s]] = triple
         self.identity = block["", 0]
-        # a letter's transition, and the products of generator states with a
+        # a letter's transition, and the products of e or a letter with a
         # letter, which end the recursion of mul
-        self._letters = {(x, j): (succ[x, j][0], succ[x, j][1][0], succ[x, j][2][0]) for x, j in singles if x}
-        self._memo = {(block[u], v[0], u[1]): block[u, v] for u, v in pairs if v[0]}
+        self._letters = {s: (succ[s][0], succ[s][1][0], succ[s][2][0]) for s in states if len(s[0]) == 1}
+        self._memo = {
+            (block[u, j], x, j): block[klein_reduce(u + x), j] for u, j in states if len(u) < 2 for x in "abcd"
+        }
 
     def mul(self, k: int, letter: str, j: int = 0) -> int:
         """Key of (element k) . letter, both over omega shifted j times."""

@@ -380,15 +380,18 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
     checks["defining_relations"] = {"pass": relations_ok}
 
     # metabelian evidence: lamp commutators drop to shift 0 and commute
+    def commutator(u: ExtState, v: ExtState) -> ExtState:
+        return mult(mult(_state_inverse(twist, u), _state_inverse(twist, v)), mult(u, v))
+
     meta_ok = True
     for _ in range(sample_count):
         es = []
         for _ in range(4):
-            lamps = {rng.randrange(9) - 4: 1 for _ in range(rng.randrange(3))}
-            es.append(_from_dict(2, lamps, rng.randrange(9) - 4))
-        c1 = lamp_commutator(es[0], es[1])
-        c2 = lamp_commutator(es[2], es[3])
-        if c1.shift != 0 or c2.shift != 0 or lamp_commutator(c1, c2) != lamp_identity():
+            lamps = {rng.randrange(9) - 4 for _ in range(rng.randrange(3))}
+            es.append(_state(lamps, rng.randrange(9) - 4, 0))
+        c1 = commutator(es[0], es[1])
+        c2 = commutator(es[2], es[3])
+        if c1[2] != 0 or c2[2] != 0 or commutator(c1, c2) != ident:
             meta_ok = False
             break
     checks["metabelian_commutators"] = {"pass": meta_ok}

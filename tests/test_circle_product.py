@@ -156,6 +156,23 @@ def test_verify_difference_window_two_apart_clause_fails(monkeypatch):
     assert clause == {"pass": False, "witness": {"kind": "two_apart", "pair": [2, 0]}}
 
 
+def test_verify_difference_window_odd_gap_clause_fails(monkeypatch):
+    # S with a_7 - a_6 one more than the gap identity allows: clause iii
+    # names the first odd step j whose gap is wrong
+    real = build_s_sequence(M2_CORR, 100)
+    fake = real[:7] + [a + 1 for a in real[7:]]
+    assert real[7] - real[6] == 5 and fake[7] - fake[6] == 6
+    monkeypatch.setattr(circle_product, "build_s_sequence", lambda spec, count: fake[:count])
+    _in_difference_set.cache_clear()  # memoized membership would see the fake S
+    try:
+        rep = verify_difference_window(M2_CORR, 12)
+    finally:
+        _in_difference_set.cache_clear()
+    assert rep["verdict"] == "fail"
+    clause = rep["clause_iii_gap_identities"]
+    assert clause == {"pass": False, "witness": {"kind": "odd_gap", "j": 3}}
+
+
 # -- graph-product words ------------------------------------------------------
 
 def test_gp_reduce_merges_and_cancels():

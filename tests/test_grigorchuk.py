@@ -296,6 +296,25 @@ def test_tree_keys_match_word_problem_exhaustive(otext):
         assert oracles.oracle_acts_trivially(u + gen_inverse(v), _oracle_omega(otext), 10), (otext, u, v)
 
 
+@pytest.mark.parametrize("otext", KEY_OMEGAS)
+def test_tree_keys_absorb_relators_at_short_forms(otext):
+    # x^ord(x) is trivial, so multiplying it onto e or a letter, on either
+    # side, must land on that element's key. The products end at short forms
+    # of several shifts of omega, which only the minimized automaton merges
+    om = parse_omega(otext)
+    keys = TreeKeys(om)
+    relators = []
+    for x in ("ab", "ac", "ad", "abac", "abad", "acad"):
+        order = order_of(x, om)
+        if order is not None:
+            relators.append(x * order)
+    assert len(relators) >= 4
+    for rel in relators:
+        for y in ["", "a", "b", "c", "d"]:
+            assert keys.key(rel + y) == keys.key(y), (otext, rel, y)
+            assert keys.key(y + rel) == keys.key(y), (otext, rel, y)
+
+
 def test_tree_keys_long_word_equal_to_generator():
     # (ad)^4 is a relator of G_(012) that Klein reduction does not see, so
     # r.x reaches a generator only through the registered automaton classes

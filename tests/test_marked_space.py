@@ -3,7 +3,6 @@
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import markedgroups.grigorchuk as grigorchuk_module
 import markedgroups.handles as handles_module
