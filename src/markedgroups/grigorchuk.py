@@ -20,8 +20,9 @@ Conjugation is h^g = g^{-1} h g throughout the package.
 The word problem is solved by contraction: Klein-reduce, kill odd a-parity,
 and recurse on the two level-1 sections, whose lengths drop below the parent's.
 It runs on (word, id) pairs: each omega's shift orbit is interned once into
-tables indexed by an int id, and one scan upper-cases the letters after an odd
-number of a's so that each section is one ``str.translate``. This
+tables indexed by an int id, with one memo of verdicts per id, and one scan
+upper-cases the letters after an odd number of a's so that each section is
+one ``str.translate``. This
 requires omega not eventually constant (the tree action is not faithful
 there); constant sequences are served by the wreath model in
 :mod:`markedgroups.lamplighter` via :func:`route_constant`.
@@ -183,10 +184,14 @@ def root_parity(w: str) -> int:
     return w.count("a") % 2
 
 
-# per interned omega id: the id of its shift, and its two section tables
+# per interned omega id: the id of its shift, its two section tables and the
+# contraction's memo of verdicts on Klein-reduced words of length >= 2 and
+# even a-parity; a memo that reaches _MEMO_BOUND entries is cleared
 _OMEGA_IDS: dict[OmegaWord, int] = {}
 _NEXT: list[int] = []
 _TABLES: list[tuple[dict[int, str], dict[int, str]]] = []
+_MEMOS: list[dict[str, bool]] = []
+_MEMO_BOUND = 1 << 20
 
 
 def _omega_id(omega: OmegaWord, faithful: bool = True) -> int:
@@ -206,6 +211,7 @@ def _omega_id(omega: OmegaWord, faithful: bool = True) -> int:
         t0 = {**spin, "B": "b", "C": "c", "D": "d"}
         t1 = {x.upper(): y for x, y in spin.items()}
         _TABLES.append((str.maketrans(t0), str.maketrans(t1)))
+        _MEMOS.append({})
         om = om.shift()
         _NEXT.append(_OMEGA_IDS.get(om, len(_NEXT) + 1))
     return _OMEGA_IDS[omega]
@@ -236,16 +242,22 @@ def sections(w: str, omega: OmegaWord) -> tuple[str, str]:
     return klein_reduce(w0), klein_reduce(w1)
 
 
-@lru_cache(maxsize=1 << 20)
 def _is_trivial_reduced(w: str, omega_id: int) -> bool:
     if not w:
         return True
     # b, c and d are nontrivial, since omega is not eventually constant
     if len(w) == 1 or w.count("a") & 1:
         return False
-    w0, w1 = _level1_words(w, omega_id)
-    tau = _NEXT[omega_id]
-    return _is_trivial_reduced(klein_reduce(w0), tau) and _is_trivial_reduced(klein_reduce(w1), tau)
+    memo = _MEMOS[omega_id]
+    out = memo.get(w)
+    if out is None:
+        w0, w1 = _level1_words(w, omega_id)
+        tau = _NEXT[omega_id]
+        out = _is_trivial_reduced(klein_reduce(w0), tau) and _is_trivial_reduced(klein_reduce(w1), tau)
+        if len(memo) >= _MEMO_BOUND:
+            memo.clear()
+        memo[w] = out
+    return out
 
 
 def is_trivial(w: str, omega: OmegaWord) -> bool:
@@ -401,7 +413,9 @@ def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
     otherwise. Window default starts past log2 of the word length, where the
     contraction has consumed the prefix. w is reduced once, and each 0^k(012)
     maps to an interned id whose shift orbit runs through the ids of
-    0^{k-1}(012), ..., so the window's contractions share one memo.
+    0^{k-1}(012), ..., so the window's contractions share the per-id memos
+    of the shifts they pass through: 0^k(012) at depth j uses the memo of
+    0^{k-j}(012), which is the root memo of the window's k - j if in range.
     """
     w = klein_reduce(w)
     if k_range is None:

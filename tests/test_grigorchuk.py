@@ -6,9 +6,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import markedgroups.grigorchuk as grigorchuk_module
 import oracles
 from markedgroups.grigorchuk import (
     EventuallyConstantError,
+    OmegaWord,
     _level1_words,
     _omega_id,
     act,
@@ -215,6 +217,30 @@ def test_is_trivial_rejects_eventually_constant():
         is_trivial("ab", parse_omega("1(0)"))
 
 
+def test_is_trivial_memo_interleaved_omegas():
+    # the same word at four omegas in turn: a verdict memoized for one omega
+    # must never answer for another
+    oms = [(t, parse_omega(t), _oracle_omega(t)) for t in ["(012)", "(021)", "0(12)", "2(01)"]]
+    for w in alternating_words(8):
+        for otext, om, oom in oms:
+            assert is_trivial(w, om) == oracles.oracle_acts_trivially(w, oom, 10), (otext, w)
+
+
+def test_is_trivial_memo_bound(monkeypatch):
+    # a bound of 2 entries per omega: the memos clear over and over, the
+    # verdicts stay those of the default bound, and no memo outgrows it
+    oms = [parse_omega(t) for t in ["(012)", "0(12)", "21(012)"]]
+    words = list(alternating_words(8))
+    want = [[is_trivial(w, om) for w in words] for om in oms]
+    for memo in grigorchuk_module._MEMOS:
+        memo.clear()
+    monkeypatch.setattr(grigorchuk_module, "_MEMO_BOUND", 2)
+    for om, verdicts in zip(oms, want):
+        for w, verdict in zip(words, verdicts):
+            assert is_trivial(w, om) == verdict, (str(om), w)
+            assert max(map(len, grigorchuk_module._MEMOS)) <= 2, (str(om), w)
+
+
 # -- torsion ------------------------------------------------------------------
 
 def test_orders_frozen():
@@ -257,6 +283,25 @@ def test_limit_trivial_frozen():
     assert limit_trivial(translate_L_word("xx")) is True
     assert limit_trivial(translate_L_word("xyxy")) is False
     assert limit_trivial(translate_L_word("yxYX" * 4)) in (True, None)
+
+
+def test_contraction_reads_omega_below_log_length():
+    # the lemma behind limit_trivial's default window: the contraction of a
+    # reduced word of length n reads only the symbols of omega at positions
+    # below (n - 1).bit_length(). So the verdict is the same for every tail
+    # that follows a given prefix of that length
+    tails = [(0, 1, 2), (0, 2, 1), (1, 2), (2, 1, 0), (0, 1)]
+    omegas = {
+        m: [(prefix, [OmegaWord(prefix, tail) for tail in tails]) for prefix in itertools.product(range(3), repeat=m)]
+        for m in range(5)
+    }
+    cases = 0
+    for w in alternating_words(10):
+        for prefix, column in omegas[(len(w) - 1).bit_length()]:
+            verdicts = {is_trivial(w, om) for om in column}
+            assert len(verdicts) == 1, (w, prefix)
+            cases += 1
+    assert cases == 75622
 
 
 def test_route_constant_table():

@@ -1,6 +1,7 @@
 """Metric-space machinery: balls, growth, agreement radii, separators."""
 
 import io
+import itertools
 
 import pytest
 
@@ -284,6 +285,33 @@ def test_agree_radius_ultrametric_spot():
     n23 = agree_radius(G021, MODEL0, 8).n
     n13 = agree_radius(G012, MODEL0, 8).n
     assert n13 >= min(n12, n23)
+
+
+# the Cantor set omega -> L_omega at small radii: exact agreement radii of
+# the x/y subgroups, with the horizon n_max each was measured at
+L_OMEGA_RADII = [
+    ("(012)", "(021)", 4, 3),
+    ("(012)", "(102)", 5, 3),
+    ("(012)", "(201)", 4, 1),
+    ("(12)", "(21)", 4, 1),
+    ("0(12)", "0(21)", 5, 3),
+    ("00(12)", "00(21)", 9, 7),
+    ("2(012)", "2(102)", 8, 7),
+    ("(021)", "(102)", 5, 3),
+    ("(021)", "(201)", 5, 1),
+    ("(102)", "(201)", 5, 1),
+]
+
+
+def test_agree_radius_l_omega_cells_frozen():
+    radii = {}
+    for om1, om2, n_max, n in L_OMEGA_RADII:
+        r = agree_radius(l_subgroup_handle(om1), l_subgroup_handle(om2), n_max)
+        assert (r.n, r.exact) == (n, True), (om1, om2)
+        radii[om1, om2] = radii[om2, om1] = n
+    # n(x, z) >= min(n(x, y), n(y, z)) over every triple of the periodic four
+    for x, y, z in itertools.permutations(["(012)", "(021)", "(102)", "(201)"], 3):
+        assert radii[x, z] >= min(radii[x, y], radii[y, z]), (x, y, z)
 
 
 # -- separating words ---------------------------------------------------------
