@@ -43,7 +43,7 @@ EXIT_DOMAIN = 3
 
 # Safety caps: each bound keeps the worst case at desk scale (minutes, not
 # memory exhaustion). Requests beyond a cap exit 2 before any work starts.
-CAP_TREE_RADIUS = 8
+CAP_TREE_RADIUS = 16
 CAP_MODEL_RADIUS = 12
 CAP_SEPARATOR_LEN = 16
 CAP_SAMPLES = 20000

@@ -16,9 +16,12 @@ Elements are exact: hashable, and equal if and only if they are equal in the
 group, so an element is its own key.
 
 Ball construction is BFS over freely reduced words in which every class keeps
-one element, so a candidate costs one multiplication and one dict lookup. An
-involutive-generator hint restricts candidates to the sublanguage where
-class-minimal representatives provably live; it does not affect answers.
+one element, so a candidate costs one multiplication and one dict lookup. A
+class is stored flat, as its parent class and last letter; representatives
+are spelled only when asked for, and the edge map is one array of target
+classes per direction. An involutive-generator hint restricts candidates to
+the sublanguage where class-minimal representatives provably live; it does
+not affect answers.
 
 Comparison of two handles runs the same BFS on joint classes (equal in both
 groups). A candidate, multiplied out from the identity, either names an
@@ -122,11 +125,11 @@ def _candidate_letters(letters: Sequence[Letter], directions: list[Letter], invo
 
 
 class _ClassTable:
-    """Classes found so far for one side of a BFS: one element per class,
-    and for each element the indices of the classes that have it.
+    """Joint classes found so far, seen from one side of a lockstep BFS: one
+    element per class, and for each element the indices of the classes that
+    have it.
 
-    In a single-group ball every element names one class. In a lockstep table
-    two joint classes may share an element on one side; that is what a
+    Two joint classes may share an element on one side; that is what a
     conflict is.
     """
 
@@ -154,19 +157,32 @@ class _ClassTable:
 
 @dataclass(frozen=True, slots=True)
 class CayleyBall:
-    """Radius-N ball: canonical representatives, edges, and growth counts.
+    """Radius-N ball as a BFS tree, edge arrays, and growth counts.
 
-    ``elements[i]`` is the length-then-lex minimal word for element i.
-    ``edges[(i, d)]`` maps element i under direction d (directions enumerate
-    (generator, sign) pairs as in `_directions`) to the target element index;
-    the key is absent when the product leaves the ball. ``gamma[n]`` counts
-    elements of length <= n.
+    Classes are numbered in BFS order, class 0 the identity. ``parent[i]``
+    is the class whose representative, extended by the direction
+    ``letter[i]``, spells the representative of class i; both are -1 for the
+    identity. Directions enumerate (generator, sign) pairs as in
+    `_directions`. ``edges[d][i]`` is the class of element i times direction
+    d, or -1 when the product leaves the ball. ``gamma[n]`` counts elements
+    of length <= n, so layer n is the index range [gamma[n-1], gamma[n]).
     """
 
     radius: int
-    elements: tuple[FreeWord, ...]
-    edges: dict[tuple[int, int], int]
+    k: int
+    parent: tuple[int, ...]
+    letter: tuple[int, ...]
+    edges: tuple[tuple[int, ...], ...]
     gamma: tuple[int, ...]
+
+    @property
+    def elements(self) -> tuple[FreeWord, ...]:
+        """The length-then-lex minimal word of each class, spelled from the tree."""
+        directions = _directions(self.k)
+        spelled: list[tuple[Letter, ...]] = []
+        for p, d in zip(self.parent, self.letter):
+            spelled.append(spelled[p] + (directions[d],) if p >= 0 else ())
+        return tuple(FreeWord(letters, self.k) for letters in spelled)
 
 
 def build_ball(handle: MarkedGroupHandle, radius: int) -> CayleyBall:
@@ -174,32 +190,40 @@ def build_ball(handle: MarkedGroupHandle, radius: int) -> CayleyBall:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     mul = handle.mul
-    table = _ClassTable(handle)
-    reps = [empty_word(handle.k)]
     directions = _directions(handle.k)
-    layer = [0]
+
+    def extensions(prefix: tuple[Letter, ...]) -> list[tuple[int, Letter]]:
+        return [(directions.index(c), c) for c in _candidate_letters(prefix, directions, handle.involutive)]
+
+    # _candidate_letters reads only the last letter, so its answer is tabled
+    # by the last direction (-1 for the empty word)
+    after = {d: extensions((letter,)) for d, letter in enumerate(directions)}
+    after[-1] = extensions(())
+    index = {handle.identity: 0}
+    elems = [handle.identity]
+    parent, letter_of = [-1], [-1]
     gamma = [1]
+    start = 0
     for _ in range(radius):
-        next_layer: list[int] = []
-        for i in layer:
-            rep, elem = reps[i], table.elems[i]
-            for letter in _candidate_letters(rep.letters, directions, handle.involutive):
+        end = len(elems)
+        for i in range(start, end):
+            elem = elems[i]
+            for d, letter in after[letter_of[i]]:
                 cand = mul(elem, letter)
-                if cand not in table.buckets:
-                    next_layer.append(len(reps))
-                    table.admit(cand)
-                    reps.append(FreeWord(rep.letters + (letter,), handle.k))
-        layer = next_layer
-        gamma.append(len(reps))
+                if cand not in index:
+                    index[cand] = len(elems)
+                    elems.append(cand)
+                    parent.append(i)
+                    letter_of.append(d)
+        start = end
+        gamma.append(len(elems))
 
     # edges, including boundary identification one step past the radius
-    edges: dict[tuple[int, int], int] = {}
-    for i, elem in enumerate(table.elems):
-        for d, letter in enumerate(directions):
-            bucket = table.buckets.get(mul(elem, letter))
-            if bucket:
-                edges[(i, d)] = bucket[0]
-    return CayleyBall(radius, tuple(reps), edges, tuple(gamma))
+    rows: list[list[int]] = [[] for _ in directions]
+    for elem in elems:
+        for row, letter in zip(rows, directions):
+            row.append(index.get(mul(elem, letter), -1))
+    return CayleyBall(radius, handle.k, tuple(parent), tuple(letter_of), tuple(map(tuple, rows)), tuple(gamma))
 
 
 def growth_sequence(handle: MarkedGroupHandle, n_max: int) -> list[int]:

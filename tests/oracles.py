@@ -217,6 +217,28 @@ def brute_gamma_lamp(n_max: int) -> list[int]:
     return gamma
 
 
+def lamp_word_element(letters) -> tuple:
+    """Element of an (s, t) word, given as (index, sign) pairs, in Z_2 wr Z:
+    its lit lamps, sorted, and its cursor."""
+    gens = {(0, 1): ({0: 1}, 0), (0, -1): ({0: 1}, 0), (1, 1): ({}, 1), (1, -1): ({}, -1)}
+    e = ({}, 0)
+    for letter in letters:
+        e = _lamp_mult(e, gens[letter])
+    lamps, z = e
+    return (tuple(sorted(lamps.items())), z)
+
+
+def free_normal_form(letters) -> tuple:
+    """Freely reduced form of a word of (index, sign) pairs, by a stack."""
+    out: list = []
+    for idx, sign in letters:
+        if out and out[-1] == (idx, -sign):
+            out.pop()
+        else:
+            out.append((idx, sign))
+    return tuple(out)
+
+
 def lamp_gamma_closed_form(n_max: int) -> list[int]:
     """Ball sizes of Z_2 wr Z marked (s, t), counted without enumeration.
 

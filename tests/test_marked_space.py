@@ -120,11 +120,12 @@ def test_growth_nondecreasing_and_submultiplicative():
 def test_ball_edges_closed_in_ball():
     ball = build_ball(FREE2, 2)
     assert len(ball.elements) == 17
-    for (src, d), dst in ball.edges.items():
-        assert 0 <= src < 17 and 0 <= dst < 17 and 0 <= d < 4
-    # boundary edges leaving the ball are absent
+    assert len(ball.edges) == 4
+    for row in ball.edges:
+        assert len(row) == 17 and all(-1 <= dst < 17 for dst in row)
+    # boundary edges leaving the ball are -1
     deep = next(i for i, w in enumerate(ball.elements) if len(w) == 2)
-    outward = sum(1 for (src, _) in ball.edges if src == deep)
+    outward = sum(1 for row in ball.edges if row[deep] >= 0)
     assert outward == 1  # only the backtracking edge stays inside
 
 
@@ -133,8 +134,65 @@ def test_ball_edges_wrap_for_relations():
     assert ball.gamma == tuple(oracles.GAMMA_LAMP)
     s_idx = ball.elements.index(FreeWord(((0, 1),), 2))
     # direction 0 is the s generator: ss = 1 wraps back to the identity
-    assert ball.edges[(s_idx, 0)] == 0
+    assert ball.edges[0][s_idx] == 0
     assert ball.elements[0] == FreeWord((), 2)
+
+
+def _tree_word(letters):
+    return "".join("abcd"[idx] for idx, _ in letters)
+
+
+def _tree_element(letters):
+    return tuple(oracles.oracle_word_perm(_tree_word(letters), oracles.OMEGA_012, 10))
+
+
+@pytest.mark.parametrize(
+    "handle,radius,element",
+    [
+        (lamplighter_handle(2), 6, oracles.lamp_word_element),
+        (FREE2, 3, oracles.free_normal_form),
+        (G012, 4, _tree_element),
+    ],
+    ids=["lamp2", "F2", "G_(012)"],
+)
+def test_flat_ball_matches_oracle(handle, radius, element):
+    # the ball's tree and edge arrays, read back through an independent
+    # element of each word: lamp configurations, free reduction, or the
+    # permutation of the 2^10 leaves
+    ball = build_ball(handle, radius)
+    words = [w.letters for w in ball.elements]
+    assert len(set(words)) == len(words)
+    for n in range(radius + 1):
+        layer = range(ball.gamma[n - 1] if n else 0, ball.gamma[n])
+        assert all(len(words[i]) == n for i in layer), n
+    elems = [element(w) for w in words]
+    assert len(set(elems)) == len(elems)
+    class_of = {e: j for j, e in enumerate(elems)}
+    directions = [(idx, sign) for idx in range(handle.k) for sign in (1, -1)]
+    assert len(ball.edges) == len(directions)
+    for row, letter in zip(ball.edges, directions):
+        assert [class_of.get(element(w + (letter,)), -1) for w in words] == list(row), letter
+        if handle is G012:
+            for w, j in zip(words, row):
+                if j >= 0:
+                    word = _tree_word(w + (letter,)) + _tree_word(words[j])[::-1]
+                    assert oracles.oracle_acts_trivially(word, oracles.OMEGA_012, 10), word
+
+
+# N(L_omega, lamp2) with n_max 6; 0(021) reaches the horizon
+L_OMEGA_LAMP_RADII = [("(012)", 5, True), ("(021)", 3, True), ("2(01)", 1, True), ("1(02)", 3, True), ("0(021)", 6, False)]
+
+
+def test_growth_agrees_up_to_agreement_radius():
+    # ball-N agreement makes the two balls of radius N isomorphic, so the
+    # ball counts agree up to the lockstep radius; where they first differ
+    # (6, 4, 2, 6 and 8 here) is not pinned
+    lamp = growth_sequence(LAMP, 6)
+    for omega, n, exact in L_OMEGA_LAMP_RADII:
+        handle = l_subgroup_handle(omega)
+        r = agree_radius(handle, LAMP, 6)
+        assert (r.n, r.exact) == (n, exact), omega
+        assert growth_sequence(handle, n) == lamp[: n + 1], omega
 
 
 def test_ball_deterministic():
