@@ -11,18 +11,21 @@ are:
   the letter's image twisted ahead of time for the element's flip
 - free group: the reduced letter tuple
 - trivial group: 0
-- tree groups and their x/y subgroups: an int key of a
-  :class:`~markedgroups.grigorchuk.TreeKeys` table that the handle owns (so a
-  table serves one omega only), multiplied one a..d letter at a time by
-  ``TreeKeys.mul``
+- tree groups: an int key of a :class:`~markedgroups.grigorchuk.TreeKeys`
+  table that the handle owns (so a table serves one omega only), multiplied
+  by one ``TreeKeys.mul`` per letter
+- marked subgroups, the x/y subgroups <d, ab> among them: a
+  :func:`subgroup_handle` over the parent, whose element is the parent's
+  element, multiplied one parent letter at a time along the letter's spelling
 
 The oracles do not go through the protocol: they evaluate the whole word
-(contraction for the tree groups).
+(contraction for the tree groups; a subgroup asks its parent's oracle about
+the spelled word).
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Hashable, Sequence
 
 from .grigorchuk import (
     OmegaWord,
@@ -30,7 +33,6 @@ from .grigorchuk import (
     dead_letter_for,
     is_trivial,
     parse_omega,
-    translate_L_word,
 )
 from .lamplighter import (
     EXT_STATE_IDENTITY,
@@ -45,9 +47,10 @@ from .lamplighter import (
     lamp_t,
 )
 from .marked_space import MarkedGroupHandle, make_handle
-from .words import FreeWord, free_reduce, gen_inverse, gen_word_from_free, word_to_str
+from .words import FreeWord, free_reduce, gen_word_from_free, word_from_str
 
 __all__ = [
+    "subgroup_handle",
     "grig_handle",
     "l_subgroup_handle",
     "lamplighter_handle",
@@ -66,32 +69,55 @@ def _letter_images(gens, inverse) -> dict:
     return {(i, s): g if s == 1 else inverse(g) for i, g in enumerate(gens) for s in (1, -1)}
 
 
-def _tree_handle(label: str, om: OmegaWord, names: tuple[str, ...], to_tree: Callable[[FreeWord], str]) -> MarkedGroupHandle:
-    """A marked subgroup of G_omega; to_tree spells a word over a..d."""
-    keys = TreeKeys(om)
-    images = _letter_images([to_tree(FreeWord(((i, 1),), len(names))) for i in range(len(names))], gen_inverse)
+def subgroup_handle(
+    parent: MarkedGroupHandle, spellings: Sequence[FreeWord], names: Sequence[str], label: str
+) -> MarkedGroupHandle:
+    """The subgroup of parent generated by the words spellings over its
+    generators, the i-th marked with names[i].
+
+    An element is the parent's element: a letter multiplies by its spelling
+    one parent letter at a time, the inverse letter by the inverse spelling.
+    A word is trivial iff the parent calls its spelling trivial.
+    """
+    if len(spellings) != len(names):
+        raise ValueError("need one spelling per generator name")
+    images = {letter: w.letters for letter, w in _letter_images(spellings, FreeWord.inverse).items()}
+    parent_mul, parent_trivial = parent.mul, parent.trivial
 
     def trivial(w: FreeWord) -> bool:
-        return is_trivial(to_tree(w), om)
+        return parent_trivial(FreeWord(tuple(x for letter in w.letters for x in images[letter]), parent.k))
 
-    def mul(elem: int, letter) -> int:
-        for ch in images[letter]:
-            elem = keys.mul(elem, ch)
+    def mul(elem: Hashable, letter) -> Hashable:
+        for x in images[letter]:
+            elem = parent_mul(elem, x)
         return elem
 
-    return make_handle(label, names, trivial, keys.identity, mul)
+    return make_handle(label, names, trivial, parent.identity, mul)
 
 
 def grig_handle(omega: OmegaWord | str) -> MarkedGroupHandle:
     """G_omega marked with (a, b, c, d)."""
     om = _as_omega(omega)
-    return _tree_handle(f"G_{om}", om, ("a", "b", "c", "d"), gen_word_from_free)
+    keys = TreeKeys(om)
+
+    def trivial(w: FreeWord) -> bool:
+        return is_trivial(gen_word_from_free(w), om)
+
+    def mul(elem: int, letter) -> int:
+        # every letter is an involution, so a letter and its inverse act alike
+        return keys.mul(elem, "abcd"[letter[0]])
+
+    return make_handle(f"G_{om}", ("a", "b", "c", "d"), trivial, keys.identity, mul)
+
+
+# x = d and y = ab, the generators of L_omega, as words over (a, b, c, d)
+_L_SPELLINGS = (word_from_str("d", ("a", "b", "c", "d")), word_from_str("ab", ("a", "b", "c", "d")))
 
 
 def l_subgroup_handle(omega: OmegaWord | str) -> MarkedGroupHandle:
     """The subgroup <d, ab> of G_omega marked with (x, y) = (d, ab)."""
     om = _as_omega(omega)
-    return _tree_handle(f"L_{om}", om, ("x", "y"), lambda w: translate_L_word(word_to_str(w, ("x", "y"))))
+    return subgroup_handle(grig_handle(om), _L_SPELLINGS, ("x", "y"), f"L_{om}")
 
 
 def lamplighter_handle(n: int = 2) -> MarkedGroupHandle:

@@ -88,10 +88,6 @@ class LampElement:
             if not 0 < v < self.n:
                 raise ValueError("lamp values must be nonzero residues")
 
-    def __str__(self) -> str:
-        inner = ",".join(f"{p}:{v}" for p, v in self.lamps)
-        return f"lamps:{{{inner}}} shift:{self.shift}"
-
 
 def _from_dict(n: int, lamps: dict[int, int], shift: int) -> LampElement:
     items = tuple(sorted((p, v % n) for p, v in lamps.items() if v % n))

@@ -36,7 +36,6 @@ lambda that carries both elements, one multiplication per letter.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence, TextIO
 
@@ -419,7 +418,5 @@ def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: 
 
 def write_growth_csv(gamma: Sequence[int], out: TextIO) -> None:
     """Rows n,gamma with a header; deterministic byte output."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["n", "gamma"])
-    for n, g in enumerate(gamma):
-        writer.writerow([n, g])
+    out.write("n,gamma\n")
+    out.writelines(f"{n},{g}\n" for n, g in enumerate(gamma))

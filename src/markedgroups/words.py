@@ -20,6 +20,7 @@ from typing import Iterator
 
 __all__ = [
     "FreeWord",
+    "empty_word",
     "free_reduce",
     "free_concat",
     "enumerate_reduced",

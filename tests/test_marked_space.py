@@ -18,6 +18,7 @@ from markedgroups.handles import (
     grig_handle,
     l_subgroup_handle,
     lamplighter_handle,
+    subgroup_handle,
     trivial_handle,
 )
 from markedgroups.marked_space import (
@@ -33,6 +34,7 @@ from markedgroups.words import (
     enumerate_reduced,
     free_concat,
     gen_word_from_free,
+    word_from_str,
     word_to_str,
 )
 
@@ -460,24 +462,15 @@ def test_separator_absent_within_bound():
     assert find_separating_word(G012, G021, 0) == rep
 
 
-# x = d and y = ab as a..d letters, each letter's inverse spelled backwards
-_XY_SPELLING = {(0, 1): ((3, 1),), (0, -1): ((3, -1),), (1, 1): ((0, 1), (1, 1)), (1, -1): ((1, -1), (0, -1))}
+# x = d and y = ab as words over (a, b, c, d), and each x/y letter as the
+# oracles' a..d string (every a..d letter is an involution)
+_XY = tuple(word_from_str(w, ("a", "b", "c", "d")) for w in ("d", "ab"))
+_XY_ORACLE = {(0, 1): "d", (0, -1): "d", (1, 1): "ab", (1, -1): "ba"}
 
 
 def _model_l_handle(symbol):
-    """The subgroup <d, ab> of the extension model for the constant sequence
-    (symbol), marked with (x, y) = (d, ab)."""
-    model = ext_model_handle(symbol)
-
-    def trivial(w):
-        return model.trivial(FreeWord(tuple(x for letter in w.letters for x in _XY_SPELLING[letter]), 4))
-
-    def mul(elem, letter):
-        for x in _XY_SPELLING[letter]:
-            elem = model.mul(elem, x)
-        return elem
-
-    return make_handle(f"L_({symbol})[model]", ("x", "y"), trivial, model.identity, mul)
+    """<d, ab> in the extension model of the constant sequence (symbol)."""
+    return subgroup_handle(ext_model_handle(symbol), _XY, ("x", "y"), f"L_({symbol})[model]")
 
 
 def test_model_l_subgroup_is_lamp2_only_for_symbol_0():
@@ -490,6 +483,42 @@ def test_model_l_subgroup_is_lamp2_only_for_symbol_0():
         assert rep.trivial_in == f"L_({symbol})[model]"
     r = agree_radius(_model_l_handle(0), LAMP, 6)
     assert (r.n, r.exact) == (6, False)
+
+
+def _subgroup_parent(parent):
+    """The x/y subgroups over the parent, and the oracle's triviality
+    verdict on an a..d string."""
+    if isinstance(parent, int):
+        dead = next(x for x, spin in oracles.ORACLE_SPIN.items() if spin[parent] == "e")
+        subgroups = [_model_l_handle(parent)]
+        return subgroups, lambda word: oracles.ext_model_oracle(word, dead) == (frozenset(), 0, 0)
+    omega, oracle_omega = parent
+    subgroups = [subgroup_handle(grig_handle(omega), _XY, ("x", "y"), f"L_{omega}"), l_subgroup_handle(omega)]
+    return subgroups, lambda word: oracles.oracle_acts_trivially(word, oracle_omega, 10)
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [("(012)", ((), (0, 1, 2))), ("2(01)", ((2,), (0, 1))), ("0(021)", ((0,), (0, 2, 1))), 0, 1, 2],
+    ids=["G_(012)", "G_2(01)", "G_0(021)", "model0", "model1", "model2"],
+)
+def test_subgroup_handle_sweep(parent):
+    # every reduced x/y word of length <= 6: the subgroup's oracle agrees
+    # with the independent oracle on the word's d/ab spelling, and for u, v
+    # of length <= 3 the elements are equal iff that oracle kills u v^-1
+    subgroups, oracle = _subgroup_parent(parent)
+    verdict = {}
+    for w in enumerate_reduced(2, 6):
+        verdict[w.letters] = oracle("".join(_XY_ORACLE[letter] for letter in w.letters))
+        for h in subgroups:
+            assert h.trivial(w) == verdict[w.letters], (h.label, word_to_str(w, ("x", "y")))
+    short = list(enumerate_reduced(2, 3))
+    for h in subgroups:
+        elems = {u.letters: _element(h, u) for u in short}
+        for u in short:
+            for v in short:
+                quotient = oracles.free_normal_form(u.letters + v.inverse().letters)
+                assert (elems[u.letters] == elems[v.letters]) == verdict[quotient], (h.label, u, v)
 
 
 # -- csv surfaces -------------------------------------------------------------

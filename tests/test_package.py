@@ -32,6 +32,20 @@ def test_all_exports_resolve(name):
     exec(f"from {name} import *", {})
 
 
+def test_package_imports_only_exported_names():
+    # every name the package re-exports is in its submodule's __all__
+    tree = ast.parse((SRC / "markedgroups" / "__init__.py").read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    unlisted = [
+        f"{node.module}.{alias.name}"
+        for node in imports
+        for alias in node.names
+        if alias.name not in importlib.import_module(f"markedgroups.{node.module}").__all__
+    ]
+    assert not unlisted, unlisted
+
+
 def test_star_import_of_the_package():
     namespace: dict = {}
     exec("from markedgroups import *", namespace)
