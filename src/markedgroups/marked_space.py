@@ -271,7 +271,7 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
                 # one multiplication per candidate gives the same answers and
                 # a 2.3x faster `converge`, but a perfbench converge pass then
                 # ends before its first 0.25 s calibration tick and the
-                # benchmark cannot time it (ROADMAP item 2).
+                # benchmark cannot time it.
                 pair = (t1.element(w), t2.element(w))
                 if pair in joint:
                     continue

@@ -1,10 +1,13 @@
 """The package as a whole: its public names resolve, the README's library
-example runs as documented, and it needs only the standard library."""
+example and CLI lines run as documented, and it needs only the standard
+library."""
 
 import ast
 import importlib
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import markedgroups
+from markedgroups import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -87,3 +91,24 @@ def test_readme_library_block_runs_as_documented():
             exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
     assert all(comment == result for comment, result in shown), shown
     assert {"False", "4", "AgreeRadius(n=7, exact=True)"} <= {comment for comment, _ in shown}
+
+
+def test_readme_cli_lines_run_as_documented():
+    # every `markedgroups ...` line of the README's CLI section, run through
+    # cli.main, exits 0, or N where the line ends in `# exit N`
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("markedgroups ")]
+    assert len(lines) >= 13
+    wrong = []
+    for line in lines:
+        documented = re.search(r"# exit (\d+)$", line)
+        expected = int(documented.group(1)) if documented else 0
+        try:
+            code = cli.main(shlex.split(line, comments=True)[1:])
+        except SystemExit as exc:  # argparse rejected the line
+            code = exc.code
+        if code != expected:
+            wrong.append((line, code))
+    assert not wrong, wrong
