@@ -1,12 +1,14 @@
 """Desk-scale computational group theory around a family of tree groups.
 
-Five largely independent layers:
+Seven layers:
 
 words          free and involutive-alphabet words, Klein four-group reduction
 grigorchuk     the sequence-parameterized tree groups, their word problem
 lamplighter    exact wreath-product models and the four-letter dictionary
 marked_space   Cayley balls, growth, agreement radii, separating words
+handles        the marked groups of the package as marked_space handles
 circle_product graph products over difference-set graphs, minimality evidence
+sampling       the deterministic LCG behind every random draw
 
 The cli module exposes the experiments as subcommands.
 """
@@ -14,11 +16,7 @@ The cli module exposes the experiments as subcommands.
 from .words import (
     FreeWord,
     empty_word,
-    enumerate_reduced,
-    free_ball_count,
-    free_concat,
     free_reduce,
-    gen_inverse,
     is_square,
     klein_reduce,
     word_from_str,

@@ -365,7 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 for a rejected list, 0 after --help
+        return exc.code
     try:
         return args.fn(args)
     except EventuallyConstantError as exc:

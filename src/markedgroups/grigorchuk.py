@@ -353,13 +353,6 @@ class TreeKeys:
             self._memo[k, letter, j] = out
         return out
 
-    def key(self, w: str) -> int:
-        """Key of a word over a, b, c, d, reduced or not: a fold of mul."""
-        k = self.identity
-        for x in w:
-            k = self.mul(k, x)
-        return k
-
 
 # ---------------------------------------------------------------------------
 # Orders, the index-2 subgroup dictionary, limits, constant routing

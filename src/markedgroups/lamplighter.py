@@ -62,7 +62,6 @@ __all__ = [
     "lamp_t",
     "lamp_multiply",
     "lamp_inverse",
-    "lamp_commutator",
     "alpha",
     "eval_st_word",
     "t_n_word",
@@ -118,10 +117,6 @@ def lamp_multiply(u: LampElement, v: LampElement) -> LampElement:
 
 def lamp_inverse(u: LampElement) -> LampElement:
     return _from_dict(u.n, {p - u.shift: -v for p, v in u.lamps}, -u.shift)
-
-
-def lamp_commutator(u: LampElement, v: LampElement) -> LampElement:
-    return lamp_multiply(lamp_multiply(lamp_inverse(u), lamp_inverse(v)), lamp_multiply(u, v))
 
 
 ExtState = tuple[int, int, int, int]  # (mask, low, shift, flip); see the module docstring

@@ -321,16 +321,13 @@ def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[
 class AgreeRadius:
     """Largest N with ball-N agreement, and whether that is exact.
 
-    ``exact`` False means the search hit its horizon: N is a lower bound and
-    the distance report is the upper bound 2^{-N}. n = -1 means even the
+    ``exact`` False means the search hit its horizon: N is a lower bound, so
+    2^{-N} bounds the distance from above. n = -1 means even the
     length-1 words disagree (some generator is trivial on one side only).
     """
 
     n: int
     exact: bool
-
-    def distance_str(self) -> str:
-        return f"2^-{self.n}" if self.exact else f"<= 2^-{self.n}"
 
 
 def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int) -> AgreeRadius:

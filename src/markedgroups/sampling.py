@@ -9,14 +9,10 @@ any determinism guarantee we want to lean on.
 
 from __future__ import annotations
 
-from .grigorchuk import OmegaWord
-
 __all__ = [
     "DEFAULT_SEED",
     "Lcg",
     "sample_alternating_word",
-    "sample_omega",
-    "sample_gp_syllables",
 ]
 
 DEFAULT_SEED = 1729
@@ -60,22 +56,3 @@ def sample_alternating_word(rng: Lcg, max_len: int) -> str:
         else:
             out.append("bcd"[rng.randrange(3)])
     return "".join(out)
-
-
-def sample_omega(rng: Lcg, pre_max: int = 4, period_max: int = 4) -> OmegaWord:
-    """Random eventually periodic sequence (canonicalized on construction)."""
-    pre = tuple(rng.randrange(3) for _ in range(rng.randrange(pre_max + 1)))
-    period = tuple(rng.randrange(3) for _ in range(1 + rng.randrange(period_max)))
-    return OmegaWord(pre, period)
-
-
-def sample_gp_syllables(rng: Lcg, count: int, vertex_window: int, modulus: int) -> tuple[tuple[int, int], ...]:
-    """Random syllable sequence for graph-product words: vertices in
-    [-vertex_window//2, vertex_window//2], nonzero exponents mod modulus."""
-    half = vertex_window // 2
-    out = []
-    for _ in range(count):
-        v = rng.randrange(vertex_window) - half
-        e = 1 + rng.randrange(modulus - 1)
-        out.append((v, e))
-    return tuple(out)

@@ -16,21 +16,16 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "FreeWord",
     "empty_word",
     "free_reduce",
-    "free_concat",
-    "enumerate_reduced",
-    "free_ball_count",
     "is_square",
     "word_to_str",
     "word_from_str",
     "GEN_ALPHABET",
     "klein_reduce",
-    "gen_inverse",
 ]
 
 
@@ -79,49 +74,6 @@ def free_reduce(w: FreeWord) -> FreeWord:
         else:
             stack.append((idx, sign))
     return FreeWord(tuple(stack), w.rank)
-
-
-def free_concat(u: FreeWord, v: FreeWord) -> FreeWord:
-    """Reduced product u * v."""
-    if u.rank != v.rank:
-        raise ValueError("rank mismatch")
-    return free_reduce(FreeWord(u.letters + v.letters, u.rank))
-
-
-def enumerate_reduced(rank: int, max_len: int) -> Iterator[FreeWord]:
-    """Yield every freely reduced word of length <= max_len exactly once.
-
-    Order is length first, then lexicographic with letter order
-    (0,+1) < (0,-1) < (1,+1) < (1,-1) < ... so downstream searches are
-    deterministic. Count matches 1 + sum_{l=1..L} 2k(2k-1)^(l-1).
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    directions = [(i, s) for i in range(rank) for s in (1, -1)]
-    yield empty_word(rank)
-
-    def extend(prefix: list[tuple[int, int]], remaining: int) -> Iterator[FreeWord]:
-        for idx, sign in directions:
-            if prefix and prefix[-1] == (idx, -sign):
-                continue
-            prefix.append((idx, sign))
-            if remaining == 1:
-                yield FreeWord(tuple(prefix), rank)
-            else:
-                yield from extend(prefix, remaining - 1)
-            prefix.pop()
-
-    for length in range(1, max_len + 1):
-        yield from extend([], length)
-
-
-def free_ball_count(rank: int, max_len: int) -> int:
-    """Closed-form count of reduced words of length <= max_len in F_rank."""
-    k2 = 2 * rank
-    total = 1
-    for length in range(1, max_len + 1):
-        total += k2 * (k2 - 1) ** (length - 1)
-    return total
 
 
 def _cyclic_reduce(letters: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
@@ -220,35 +172,8 @@ def klein_reduce(w: str) -> str:
     return "".join(stack)
 
 
-def gen_inverse(w: str) -> str:
-    # every letter is an involution, so the inverse is the reversal
-    return w[::-1]
-
-
 def gen_word_from_free(w: FreeWord) -> str:
     """Interpret a rank-4 FreeWord over involutive generators a,b,c,d."""
     if w.rank != 4:
         raise ValueError("expected rank 4")
     return "".join(GEN_ALPHABET[i] for i, _sign in w.letters)
-
-
-def alternating_words(max_len: int) -> Iterator[str]:
-    """All Klein-reduced (alternating) nonempty words of length <= max_len.
-
-    Useful for exhaustive sweeps: these are exactly the normal forms, so no
-    two of them are equal modulo the Klein relations.
-    """
-    bcd = "bcd"
-    for length in range(1, max_len + 1):
-        # an alternating word is determined by whether position 0 holds 'a'
-        # and by the choice of letter in each {b,c,d} slot
-        for a_phase in (0, 1):
-            a_positions = [i for i in range(length) if i % 2 == a_phase]
-            x_positions = [i for i in range(length) if i % 2 != a_phase]
-            for combo in itertools.product(bcd, repeat=len(x_positions)):
-                chars = [""] * length
-                for i in a_positions:
-                    chars[i] = "a"
-                for i, ch in zip(x_positions, combo):
-                    chars[i] = ch
-                yield "".join(chars)

@@ -142,6 +142,30 @@ OMEGA_021 = ((), (0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
+# Word enumerations
+
+def enumerate_reduced(rank: int, max_len: int):
+    """Every freely reduced word of length <= max_len once, as a tuple of
+    (index, sign) letters: length first, then lexicographic with letter
+    order (0, +1) < (0, -1) < (1, +1) < (1, -1) < ..."""
+    letters = [(i, s) for i in range(rank) for s in (1, -1)]
+    layer = [()]
+    yield ()
+    for _ in range(max_len):
+        layer = [w + (x,) for w in layer for x in letters if not w or w[-1] != (x[0], -x[1])]
+        yield from layer
+
+
+def alternating_words(max_len: int):
+    """Every nonempty Klein-reduced word over a, b, c, d of length <= max_len:
+    letters alternate between a and one of b, c, d."""
+    layer = ["a", "b", "c", "d"]
+    for _ in range(max_len):
+        yield from layer
+        layer = [w + x for w in layer for x in ("bcd" if w[-1] == "a" else "a")]
+
+
+# ---------------------------------------------------------------------------
 # Brute-force growth oracles
 
 def _tree_words_no_repeat(max_len: int):

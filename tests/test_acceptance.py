@@ -21,6 +21,7 @@ from markedgroups.circle_product import (
 )
 from markedgroups.cli import main
 from markedgroups.grigorchuk import (
+    OmegaWord,
     is_trivial,
     order_of,
     parse_omega,
@@ -33,13 +34,8 @@ from markedgroups.handles import (
 )
 from markedgroups.lamplighter import EXT_STATE_IDENTITY, eval_abcd_state, structure_report
 from markedgroups.marked_space import build_ball, growth_sequence
-from markedgroups.sampling import DEFAULT_SEED, Lcg, sample_alternating_word, sample_omega
-from markedgroups.words import (
-    alternating_words,
-    free_ball_count,
-    gen_word_from_free,
-    word_from_str,
-)
+from markedgroups.sampling import DEFAULT_SEED, Lcg, sample_alternating_word
+from markedgroups.words import gen_word_from_free, word_from_str
 
 OM012 = parse_omega("(012)")
 RELATORS = ("aa", "bb", "cc", "dd", "bcd")
@@ -66,13 +62,20 @@ def _oracle_omega(om):
     return (tuple(om.preperiod), tuple(om.period))
 
 
+def _sample_omega(rng):
+    """Random eventually periodic sequence: preperiod 0..4, period 1..4."""
+    pre = tuple(rng.randrange(3) for _ in range(rng.randrange(5)))
+    period = tuple(rng.randrange(3) for _ in range(1 + rng.randrange(4)))
+    return OmegaWord(pre, period)
+
+
 def test_criterion_01_defining_relations():
     with criterion(1, 60):
         # (i) the tree action, 20 sampled sequences, all depths <= 10, by the
         # independent leaf-permutation oracle
         rng = Lcg(DEFAULT_SEED)
         for _ in range(20):
-            om = sample_omega(rng)
+            om = _sample_omega(rng)
             for rel in RELATORS:
                 assert oracles.oracle_acts_trivially(rel, _oracle_omega(om), 10), (str(om), rel)
         # (ii) the wreath model under every dead-letter assignment
@@ -106,7 +109,7 @@ def test_criterion_02_word_problem_oracle_equivalence():
     with criterion(2, 300):
         oom = _oracle_omega(OM012)
         checked = 0
-        for w in alternating_words(8):
+        for w in oracles.alternating_words(8):
             assert is_trivial(w, OM012) == oracles.oracle_acts_trivially(w, oom, 12), w
             checked += 1
         assert checked == 400  # every alternating word of length 1..8
@@ -182,10 +185,11 @@ def test_criterion_06_growth_tables():
         assert tree[:3] == brute_tree
         assert lamp[:4] == brute_lamp
         assert tree == sorted(tree) and lamp == sorted(lamp)
+        free4, free2 = oracles.brute_free_counts(4, 6), oracles.brute_free_counts(2, 8)
         for n in range(2, 7):
-            assert tree[n] < free_ball_count(4, n), n
+            assert tree[n] < free4[n], n
         for n in range(2, 9):
-            assert lamp[n] < free_ball_count(2, n), n
+            assert lamp[n] < free2[n], n
 
 
 def test_criterion_07_torsion_ball():

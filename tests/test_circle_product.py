@@ -19,15 +19,17 @@ from markedgroups.circle_product import (
     verify_difference_window,
     verify_minimality,
 )
-from markedgroups.sampling import Lcg, sample_gp_syllables
+from markedgroups.sampling import Lcg
 
 M2_ORIG = SSpec(2, "original")
 M2_CORR = SSpec(2, "corrected")
 
 
 def _rand_word(rng, n, max_syllables, window=9):
+    """Random syllables: vertices in [-window//2, window//2], exponents in 1..n-1."""
     count = rng.randrange(max_syllables + 1)
-    return sample_gp_syllables(rng, count, window, n)
+    half = window // 2
+    return tuple((rng.randrange(window) - half, 1 + rng.randrange(n - 1)) for _ in range(count))
 
 
 def _inverse(w, n):

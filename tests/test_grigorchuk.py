@@ -1,5 +1,6 @@
 """Tree groups G_omega: action, sections, word problem, torsion, limits."""
 
+import functools
 import itertools
 import random
 
@@ -25,7 +26,7 @@ from markedgroups.grigorchuk import (
     sections,
     translate_L_word,
 )
-from markedgroups.words import alternating_words, gen_inverse, klein_reduce
+from markedgroups.words import klein_reduce
 
 OM012 = parse_omega("(012)")
 OM021 = parse_omega("(021)")
@@ -171,7 +172,7 @@ def test_is_trivial_oracle_agreement_exhaustive():
     for otext in ["(012)", "(021)"]:
         om = parse_omega(otext)
         oom = _oracle_omega(otext)
-        for w in alternating_words(8):
+        for w in oracles.alternating_words(8):
             assert is_trivial(w, om) == oracles.oracle_acts_trivially(w, oom, 12), (
                 otext,
                 w,
@@ -185,8 +186,8 @@ def test_is_trivial_sweep_over_preperiods(otext):
     # point where the shift orbit of omega wraps to the period start
     om = parse_omega(otext)
     oom = _oracle_omega(otext)
-    words = list(alternating_words(10))
-    for w in alternating_words(4):
+    words = list(oracles.alternating_words(10))
+    for w in oracles.alternating_words(4):
         words += [w * (1 << k) for k in range(1, 6)]
     for w in words:
         assert is_trivial(w, om) == oracles.oracle_acts_trivially(w, oom, 10), (otext, w)
@@ -221,7 +222,7 @@ def test_is_trivial_memo_interleaved_omegas():
     # the same word at four omegas in turn: a verdict memoized for one omega
     # must never answer for another
     oms = [(t, parse_omega(t), _oracle_omega(t)) for t in ["(012)", "(021)", "0(12)", "2(01)"]]
-    for w in alternating_words(8):
+    for w in oracles.alternating_words(8):
         for otext, om, oom in oms:
             assert is_trivial(w, om) == oracles.oracle_acts_trivially(w, oom, 10), (otext, w)
 
@@ -230,7 +231,7 @@ def test_is_trivial_memo_bound(monkeypatch):
     # a bound of 2 entries per omega: the memos clear over and over, the
     # verdicts stay those of the default bound, and no memo outgrows it
     oms = [parse_omega(t) for t in ["(012)", "0(12)", "21(012)"]]
-    words = list(alternating_words(8))
+    words = list(oracles.alternating_words(8))
     want = [[is_trivial(w, om) for w in words] for om in oms]
     for memo in grigorchuk_module._MEMOS:
         memo.clear()
@@ -254,7 +255,7 @@ def test_orders_frozen():
 
 
 def test_orders_are_powers_of_two():
-    for w in alternating_words(3):
+    for w in oracles.alternating_words(3):
         n = order_of(w, OM012)
         assert n is not None and n & (n - 1) == 0
 
@@ -296,7 +297,7 @@ def test_contraction_reads_omega_below_log_length():
         for m in range(5)
     }
     cases = 0
-    for w in alternating_words(10):
+    for w in oracles.alternating_words(10):
         for prefix, column in omegas[(len(w) - 1).bit_length()]:
             verdicts = {is_trivial(w, om) for om in column}
             assert len(verdicts) == 1, (w, prefix)
@@ -320,25 +321,30 @@ def test_route_constant_table():
 KEY_OMEGAS = ["(012)", "(021)", "0(012)", "2(01)"]
 
 
+def _key(keys, w):
+    """Key of a word over a, b, c, d, reduced or not: a fold of mul."""
+    return functools.reduce(keys.mul, w, keys.identity)
+
+
 @pytest.mark.parametrize("otext", KEY_OMEGAS)
 def test_tree_keys_match_word_problem_exhaustive(otext):
     # every pair of Klein-reduced words of length <= 5: equal keys iff
     # u v^-1 is trivial, and the independent oracle confirms each equal pair
     om = parse_omega(otext)
     keys = TreeKeys(om)
-    words = [""] + list(alternating_words(5))
+    words = [""] + list(oracles.alternating_words(5))
     by_key = {}
     for w in words:
-        by_key.setdefault(keys.key(w), []).append(w)
+        by_key.setdefault(_key(keys, w), []).append(w)
     for u in words:
-        ku = keys.key(u)
+        ku = _key(keys, u)
         for v in words:
-            quotient = u + gen_inverse(v)
-            assert (ku == keys.key(v)) == is_trivial(quotient, om), (otext, u, v)
+            quotient = u + v[::-1]  # every letter is an involution, so v^-1 is v reversed
+            assert (ku == _key(keys, v)) == is_trivial(quotient, om), (otext, u, v)
     equal_pairs = [(u, v) for cls in by_key.values() for u in cls for v in cls if u != v]
     assert equal_pairs, "the sweep should contain distinct words for one element"
     for u, v in equal_pairs:
-        assert oracles.oracle_acts_trivially(u + gen_inverse(v), _oracle_omega(otext), 10), (otext, u, v)
+        assert oracles.oracle_acts_trivially(u + v[::-1], _oracle_omega(otext), 10), (otext, u, v)
 
 
 @pytest.mark.parametrize("otext", KEY_OMEGAS)
@@ -356,8 +362,8 @@ def test_tree_keys_absorb_relators_at_short_forms(otext):
     assert len(relators) >= 4
     for rel in relators:
         for y in ["", "a", "b", "c", "d"]:
-            assert keys.key(rel + y) == keys.key(y), (otext, rel, y)
-            assert keys.key(y + rel) == keys.key(y), (otext, rel, y)
+            assert _key(keys, rel + y) == _key(keys, y), (otext, rel, y)
+            assert _key(keys, y + rel) == _key(keys, y), (otext, rel, y)
 
 
 def test_tree_keys_long_word_equal_to_generator():
@@ -366,11 +372,11 @@ def test_tree_keys_long_word_equal_to_generator():
     rel = "ad" * oracles.ORDER_AD_012
     assert oracles.oracle_acts_trivially(rel, oracles.OMEGA_012, 10)
     keys = TreeKeys(OM012)
-    assert keys.key(rel) == keys.key("")
+    assert _key(keys, rel) == _key(keys, "")
     for x in "abcd":
-        assert keys.key(rel + x) == keys.key(x)
-        assert keys.key(x + rel) == keys.key(x)
-    assert len({keys.key(x) for x in ["", "a", "b", "c", "d"]}) == 5
+        assert _key(keys, rel + x) == _key(keys, x)
+        assert _key(keys, x + rel) == _key(keys, x)
+    assert len({_key(keys, x) for x in ["", "a", "b", "c", "d"]}) == 5
 
 
 @pytest.mark.parametrize("otext", ["(012)", "00000000(012)", "2(01)", "(0112)"])
@@ -396,8 +402,8 @@ def test_tree_keys_match_word_problem_long_words(otext):
             v = u[:cut] + rng.choice(relators) + u[cut:]
         else:
             v = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 80)))
-        quotient = u + gen_inverse(v)
-        same = keys.key(u) == keys.key(v)
+        quotient = u + v[::-1]
+        same = _key(keys, u) == _key(keys, v)
         assert same == is_trivial(quotient, om), (otext, u, v)
         if same:
             equal += 1
@@ -407,13 +413,13 @@ def test_tree_keys_match_word_problem_long_words(otext):
 
 @pytest.mark.parametrize("otext", ["(012)", "2(01)", "0(021)"])
 def test_tree_keys_need_no_top_level_reduction(otext):
-    # key() is a fold of mul and reduces nothing, so every word of length
+    # _key is a fold of mul and reduces nothing, so every word of length
     # <= 6, reduced or not, must get the key of its Klein normal form
     keys = TreeKeys(parse_omega(otext))
     words = ["".join(p) for n in range(7) for p in itertools.product("abcd", repeat=n)]
     assert len(words) == 5461
     for w in words:
-        assert keys.key(w) == keys.key(klein_reduce(w)), (otext, w)
+        assert _key(keys, w) == _key(keys, klein_reduce(w)), (otext, w)
 
 
 def test_tree_keys_reject_eventually_constant():

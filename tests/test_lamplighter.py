@@ -19,7 +19,6 @@ from markedgroups.lamplighter import (
     eval_st_word,
     ext_pretwisted_images,
     ext_state_mul,
-    lamp_commutator,
     lamp_identity,
     lamp_inverse,
     lamp_multiply,
@@ -81,11 +80,15 @@ def test_lamp_inverse_law(u):
     assert lamp_multiply(lamp_inverse(u), u) == e
 
 
+def _commutator(u, v):
+    return lamp_multiply(lamp_multiply(lamp_inverse(u), lamp_inverse(v)), lamp_multiply(u, v))
+
+
 @given(lamp_elements())
 def test_lamp_metabelian(u):
     # commutators land in the abelian lamp part, so they all commute
     v = lamp_multiply(u, lamp_t(u.n))
-    c1 = lamp_commutator(u, v)
+    c1 = _commutator(u, v)
     assert c1.shift == 0
 
 
@@ -126,7 +129,7 @@ def test_lamp_commutators_sweep():
     # every two of them commute
     for n, positions in ((2, range(-1, 2)), (3, (0, 1))):
         elements = _small_lamp_elements(n, positions, (-1, 0, 1))
-        commutators = {lamp_commutator(u, v) for u in elements for v in elements}
+        commutators = {_commutator(u, v) for u in elements for v in elements}
         assert len(commutators) > 1, n
         for c1 in commutators:
             assert c1.shift == 0, c1

@@ -1,6 +1,6 @@
-"""The package as a whole: its public names resolve, the README's library
-example and CLI lines run as documented, and it needs only the standard
-library."""
+"""The package as a whole: its public names resolve and each has a user,
+the README's library example and CLI lines run as documented, it needs only
+the standard library, and the test oracles import none of it."""
 
 import ast
 import importlib
@@ -48,6 +48,49 @@ def test_package_imports_only_exported_names():
         if alias.name not in importlib.import_module(f"markedgroups.{node.module}").__all__
     ]
     assert not unlisted, unlisted
+
+
+def test_oracles_import_nothing_from_the_package():
+    # agreement with tests/oracles.py is evidence only while the oracles
+    # share no code with the package they judge
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = [
+        (node.level, node.module or "") if isinstance(node, ast.ImportFrom) else (0, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert imported
+    wrong = [(level, name) for level, name in imported if level or name.split(".")[0] == "markedgroups"]
+    assert not wrong, wrong
+
+
+def _loaded_names(path):
+    """Names a file loads, as names or attributes, outside the definition
+    that binds them; __all__ strings and imports do not count."""
+    used = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = {stmt.name} if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in own:
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def test_every_public_name_has_a_user():
+    # a name in a submodule's __all__ is used by the package or the scripts,
+    # or the README documents it; a name only the tests call belongs in them
+    used = set().union(*(_loaded_names(path) for path in [*SRC.rglob("*.py"), *(ROOT / "scripts").glob("*.py")]))
+    readme = (ROOT / "README.md").read_text()
+    unused = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", [])
+        if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
+    ]
+    assert not unused, unused
 
 
 def test_star_import_of_the_package():
@@ -105,10 +148,7 @@ def test_readme_cli_lines_run_as_documented():
     for line in lines:
         documented = re.search(r"# exit (\d+)$", line)
         expected = int(documented.group(1)) if documented else 0
-        try:
-            code = cli.main(shlex.split(line, comments=True)[1:])
-        except SystemExit as exc:  # argparse rejected the line
-            code = exc.code
+        code = cli.main(shlex.split(line, comments=True)[1:])
         if code != expected:
             wrong.append((line, code))
     assert not wrong, wrong

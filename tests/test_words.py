@@ -9,10 +9,6 @@ from hypothesis import given, strategies as st
 import oracles
 from markedgroups.words import (
     FreeWord,
-    alternating_words,
-    enumerate_reduced,
-    free_ball_count,
-    free_concat,
     free_reduce,
     gen_word_from_free,
     is_square,
@@ -93,14 +89,15 @@ def test_free_reduce_idempotent(letters):
 @given(SIGNED)
 def test_free_inverse_cancels(letters):
     w = FreeWord(letters, 2)
-    assert len(free_reduce(free_concat(w, w.inverse()))) == 0
-    assert len(free_reduce(free_concat(w.inverse(), w))) == 0
+    assert len(free_reduce(FreeWord(w.letters + w.inverse().letters, 2))) == 0
+    assert len(free_reduce(FreeWord(w.inverse().letters + w.letters, 2))) == 0
 
 
 @given(SIGNED, SIGNED)
 def test_free_reduce_respects_concat(a, b):
     u, v = FreeWord(a, 2), FreeWord(b, 2)
-    assert free_reduce(free_concat(free_reduce(u), free_reduce(v))) == free_reduce(free_concat(u, v))
+    ru, rv = free_reduce(u), free_reduce(v)
+    assert free_reduce(FreeWord(ru.letters + rv.letters, 2)) == free_reduce(FreeWord(a + b, 2))
 
 
 def _rank2_words(max_len):
@@ -118,8 +115,8 @@ def test_free_reduce_laws_sweep():
         r = free_reduce(w)
         assert free_reduce(r) == r, w
         assert all(x != (y[0], -y[1]) for x, y in zip(r.letters, r.letters[1:])), w
-        assert len(free_reduce(free_concat(w, w.inverse()))) == 0, w
-        assert len(free_reduce(free_concat(w.inverse(), w))) == 0, w
+        assert len(free_reduce(FreeWord(w.letters + w.inverse().letters, 2))) == 0, w
+        assert len(free_reduce(FreeWord(w.inverse().letters + w.letters, 2))) == 0, w
         assert word_from_str(word_to_str(r, ("s", "t")), ("s", "t")) == r, w
 
 
@@ -129,29 +126,33 @@ def test_free_reduce_respects_concat_sweep():
     reduced = [free_reduce(w) for w in words]
     for u, ru in zip(words, reduced):
         for v, rv in zip(words, reduced):
-            assert free_reduce(free_concat(ru, rv)) == free_reduce(free_concat(u, v)), (u, v)
+            uv = FreeWord(u.letters + v.letters, 2)
+            assert free_reduce(FreeWord(ru.letters + rv.letters, 2)) == free_reduce(uv), (u, v)
 
 
 def test_free_ball_counts_frozen():
-    assert [free_ball_count(2, n) for n in range(4)] == list(oracles.FREE_COUNTS_K2)
-    assert [free_ball_count(2, n) for n in range(4)] == oracles.brute_free_counts(2, 3)
+    assert oracles.brute_free_counts(2, 3) == list(oracles.FREE_COUNTS_K2)
 
 
 def test_enumerate_reduced_counts_and_uniqueness():
-    words = list(enumerate_reduced(2, 3))
+    words = [FreeWord(letters, 2) for letters in oracles.enumerate_reduced(2, 3)]
     assert len(words) == oracles.FREE_COUNTS_K2[3]
     assert len(set(words)) == len(words)
     for w in words:
         assert free_reduce(w) == w
-    # lexicographic-by-length enumeration: lengths never decrease
-    lens = [len(w) for w in words]
-    assert lens == sorted(lens)
+    # rank 3 through length 4, against the non-backtracking count
+    counts = [0] * 5
+    for letters in oracles.enumerate_reduced(3, 4):
+        counts[len(letters)] += 1
+    assert list(itertools.accumulate(counts)) == oracles.brute_free_counts(3, 4)
 
 
 def test_enumerate_reduced_order_is_deterministic():
-    a = list(enumerate_reduced(2, 3))
-    b = list(enumerate_reduced(2, 3))
-    assert a == b
+    # length first, then lexicographic in the letter order
+    # (0, +1) < (0, -1) < (1, +1) < (1, -1), which the separator sweeps rely on
+    words = list(oracles.enumerate_reduced(2, 4))
+    rank = {(0, 1): 0, (0, -1): 1, (1, 1): 2, (1, -1): 3}
+    assert words == sorted(words, key=lambda w: (len(w), [rank[x] for x in w]))
 
 
 # -- string round trips -------------------------------------------------------
@@ -182,14 +183,14 @@ def test_gen_word_from_free_inverses_collapse():
 
 
 def test_alternating_words_are_irreducible():
-    words = list(alternating_words(6))
+    words = list(oracles.alternating_words(6))
     assert len(set(words)) == len(words)
     for w in words:
         assert klein_reduce(w) == w
 
 
 def test_alternating_words_cover_all_irreducibles():
-    seen = set(alternating_words(5))
+    seen = set(oracles.alternating_words(5))
     expect = set()
     for n in range(6):
         for tup in itertools.product("abcd", repeat=n):
