@@ -25,8 +25,9 @@ one whose window checks pass. Both are kept so the discrepancy stays visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .words import _Frozen
 
 __all__ = [
     "SSpec",
@@ -42,18 +43,31 @@ __all__ = [
 VARIANTS = ("original", "corrected")
 
 
-@dataclass(frozen=True, slots=True)
-class SSpec:
+class SSpec(_Frozen):
     """Parameters of the sequence S: the forbidden difference m and variant."""
 
+    __slots__ = ("m", "variant")
     m: int
-    variant: str = "corrected"
+    variant: str
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, m: int, variant: str = "corrected") -> None:
+        if m < 1:
             raise ValueError("m must be >= 1")
-        if self.variant not in VARIANTS:
+        if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "variant", variant)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.variant) == (other.m, other.variant)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.variant))
+
+    def __repr__(self) -> str:
+        return f"SSpec(m={self.m!r}, variant={self.variant!r})"
 
 
 def build_s_sequence(spec: SSpec, count: int) -> list[int]:

@@ -37,10 +37,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import klein_reduce
+from .words import _Frozen, klein_reduce
 
 __all__ = [
     "SPIN",
@@ -77,8 +76,7 @@ class EventuallyConstantError(ValueError):
     eventually constant."""
 
 
-@dataclass(frozen=True, slots=True)
-class OmegaWord:
+class OmegaWord(_Frozen):
     """Eventually periodic sequence over {0,1,2}: preperiod then repeated period.
 
     Canonicalized on construction: the period is made primitive (shortest),
@@ -87,11 +85,12 @@ class OmegaWord:
     the same infinite sequence.
     """
 
+    __slots__ = ("preperiod", "period")
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        pre, per = tuple(self.preperiod), tuple(self.period)
+    def __init__(self, preperiod: tuple[int, ...], period: tuple[int, ...]) -> None:
+        pre, per = tuple(preperiod), tuple(period)
         if not per:
             raise ValueError("period must be nonempty")
         for sym in pre + per:
@@ -109,6 +108,17 @@ class OmegaWord:
             per = (per[-1],) + per[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.preperiod, self.period) == (other.preperiod, other.period)
+
+    def __hash__(self) -> int:
+        return hash((self.preperiod, self.period))
+
+    def __repr__(self) -> str:
+        return f"OmegaWord(preperiod={self.preperiod!r}, period={self.period!r})"
 
     def at(self, i: int) -> int:
         """Symbol at 0-based position i (the paper-style omega_{i+1})."""

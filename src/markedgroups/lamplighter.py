@@ -48,12 +48,11 @@ by them one letter at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .grigorchuk import dead_letter_for, route_constant
-from .words import FreeWord
+from .words import FreeWord, _Frozen
 
 __all__ = [
     "LampElement",
@@ -69,23 +68,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class LampElement:
+class LampElement(_Frozen):
     """Normal form (lamps, shift) in Z_n wr Z; lamps store nonzero values only."""
 
+    __slots__ = ("n", "lamps", "shift")
     n: int
     lamps: tuple[tuple[int, int], ...]  # sorted (position, value), value in 1..n-1
     shift: int
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
+    def __init__(self, n: int, lamps: tuple[tuple[int, int], ...], shift: int) -> None:
+        if n < 2:
             raise ValueError("modulus must be >= 2")
-        positions = [p for p, _ in self.lamps]
+        positions = [p for p, _ in lamps]
         if positions != sorted(positions) or len(set(positions)) != len(positions):
             raise ValueError("lamps must be sorted by position with unique positions")
-        for _, v in self.lamps:
-            if not 0 < v < self.n:
+        for _, v in lamps:
+            if not 0 < v < n:
                 raise ValueError("lamp values must be nonzero residues")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lamps", lamps)
+        object.__setattr__(self, "shift", shift)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.lamps, self.shift) == (other.n, other.lamps, other.shift)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.lamps, self.shift))
+
+    def __repr__(self) -> str:
+        return f"LampElement(n={self.n!r}, lamps={self.lamps!r}, shift={self.shift!r})"
 
 
 def _from_dict(n: int, lamps: dict[int, int], shift: int) -> LampElement:

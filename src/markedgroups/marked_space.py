@@ -36,8 +36,7 @@ lambda that carries both elements, one multiplication per letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TextIO
 
 from .words import FreeWord, empty_word, is_square
 
@@ -57,8 +56,7 @@ __all__ = [
 Letter = tuple[int, int]  # (generator index, sign)
 
 
-@dataclass(frozen=True, slots=True)
-class MarkedGroupHandle:
+class MarkedGroupHandle(NamedTuple):
     """A marked group: label, generator count, triviality oracle, element protocol.
 
     ``involutive[i]`` promises trivial(g_i^2); it is measured by
@@ -88,7 +86,9 @@ def make_handle(
     """Build a handle, measuring the involutive flags instead of trusting them.
 
     The flags come from the oracle; the element protocol must agree with it
-    on every generator square, since ball searches prune by the flags.
+    on every generator square, since ball searches prune by the flags, and
+    each inverse letter must undo its letter from either side, since searches
+    extend words by inverse letters.
     """
     k = len(gen_names)
     assert trivial(empty_word(k)), "oracle must accept the empty word"
@@ -96,6 +96,9 @@ def make_handle(
     for i, flag in enumerate(flags):
         square = mul(mul(identity, (i, 1)), (i, 1))
         assert (square == identity) == flag, f"element protocol disagrees with the oracle on g{i}^2"
+        for sign in (1, -1):
+            undone = mul(mul(identity, (i, sign)), (i, -sign))
+            assert undone == identity, f"element protocol: g{i}^{sign} g{i}^{-sign} is not the identity"
     return MarkedGroupHandle(label, k, tuple(gen_names), trivial, flags, identity, mul)
 
 
@@ -154,8 +157,7 @@ class _ClassTable:
 # Single-group Cayley balls
 
 
-@dataclass(frozen=True, slots=True)
-class CayleyBall:
+class CayleyBall(NamedTuple):
     """Radius-N ball as a BFS tree, edge arrays, and growth counts.
 
     Classes are numbered in BFS order, class 0 the identity. ``parent[i]``
@@ -234,8 +236,7 @@ def growth_sequence(handle: MarkedGroupHandle, n_max: int) -> list[int]:
 # Lockstep comparison of two marked groups
 
 
-@dataclass(slots=True)
-class _LockstepResult:
+class _LockstepResult(NamedTuple):
     lam: int | None  # least conflict length, None if no two classes conflict
     joint: dict[tuple[Hashable, Hashable], int]  # (element in h1, element in h2) -> class
     partnered: list[bool]  # class conflicts with some other class
@@ -317,8 +318,7 @@ def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[
     return lam, partnered
 
 
-@dataclass(frozen=True, slots=True)
-class AgreeRadius:
+class AgreeRadius(NamedTuple):
     """Largest N with ball-N agreement, and whether that is exact.
 
     ``exact`` False means the search hit its horizon: N is a lower bound, so
@@ -340,8 +340,7 @@ def agree_radius(h1: MarkedGroupHandle, h2: MarkedGroupHandle, n_max: int) -> Ag
     return AgreeRadius(min((lam - 2) // 2, n_max), True)
 
 
-@dataclass(frozen=True, slots=True)
-class SeparatorReport:
+class SeparatorReport(NamedTuple):
     """A word telling two marked groups apart, if one was found.
 
     ``word`` is None when no separator exists within the length bound;

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 
 __all__ = [
     "FreeWord",
@@ -29,12 +28,28 @@ __all__ = [
 ]
 
 
+class _Frozen:
+    """Immutability shared by the value types: fields are set once, with
+    ``object.__setattr__`` in ``__init__``, and a value pickles and copies as
+    its constructor call over ``__slots__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
 # ---------------------------------------------------------------------------
 # FreeWord
 
 
-@dataclass(frozen=True, slots=True)
-class FreeWord:
+class FreeWord(_Frozen):
     """A word in the free group of rank ``rank``.
 
     ``letters`` is a tuple of (index, sign) with 0 <= index < rank and
@@ -42,17 +57,31 @@ class FreeWord:
     :func:`free_reduce` when a reduced representative is needed.
     """
 
+    __slots__ = ("letters", "rank")
     letters: tuple[tuple[int, int], ...]
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, letters: tuple[tuple[int, int], ...], rank: int) -> None:
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        for idx, sign in self.letters:
-            if not 0 <= idx < self.rank:
-                raise ValueError(f"generator index {idx} out of range for rank {self.rank}")
+        for idx, sign in letters:
+            if not 0 <= idx < rank:
+                raise ValueError(f"generator index {idx} out of range for rank {rank}")
             if sign not in (1, -1):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters, self.rank) == (other.letters, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.letters, self.rank))
+
+    def __repr__(self) -> str:
+        return f"FreeWord(letters={self.letters!r}, rank={self.rank!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import markedgroups.cli as cli_module
+import markedgroups.handles as handles_module
 import markedgroups.lamplighter as lamplighter_module
 from markedgroups.cli import (
     CAP_SEPARATOR_LEN,
@@ -311,6 +312,14 @@ def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "converge", "--jmin", "1", "--jmax", "1", "--nmax", "2")
     assert code == EXIT_VIOLATION and out == ""
     assert err == "error: internal check failed: lockstep tables disagree\n"
+
+
+def test_handle_with_a_wrong_inverse_letter_exits_1_without_traceback(capsys, monkeypatch):
+    # t^-1 built as t: make_handle refuses the handle before any search runs
+    monkeypatch.setattr(handles_module, "lamp_inverse", lambda u: u)
+    code, out, err = run(capsys, "growth", "--family", "lamp", "--nmax", "2")
+    assert code == EXIT_VIOLATION and out == ""
+    assert err == "error: internal check failed: element protocol: g1^1 g1^-1 is not the identity\n"
 
 
 # -- fuzzing ------------------------------------------------------------------

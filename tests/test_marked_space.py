@@ -80,6 +80,24 @@ def test_make_handle_rejects_protocol_disagreeing_with_oracle():
         )
 
 
+def test_make_handle_rejects_a_wrong_inverse_letter():
+    # Z_3 where g^-1 acts as g: the squares agree with the oracle, but a
+    # search that appends g^-1 would multiply by g
+    with pytest.raises(AssertionError, match="g0\\^1 g0\\^-1 is not the identity"):
+        make_handle(
+            "bad", ("g",), lambda w: sum(s for _, s in w.letters) % 3 == 0,
+            0, lambda e, letter: (e + 1) % 3,
+        )
+    # F_2 where h^-1 h does not cancel, though h h^-1 does: both sides count
+    def one_sided(e, letter):
+        if e and e[-1] == (letter[0], -letter[1]) and letter != (1, 1):
+            return e[:-1]
+        return e + (letter,)
+
+    with pytest.raises(AssertionError, match="g1\\^-1 g1\\^1 is not the identity"):
+        make_handle("bad", ("g", "h"), lambda w: not w.letters, (), one_sided)
+
+
 # -- balls and growth ---------------------------------------------------------
 
 def test_growth_frozen_free():

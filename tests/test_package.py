@@ -117,6 +117,27 @@ def test_package_does_not_load_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_loads_no_dataclasses_inspect_or_numpy():
+    # a fresh interpreter imports only the CLI, then runs one command: the
+    # package's types are named tuples and slotted classes, so neither the
+    # import nor a run pays for the dataclasses machinery (which loads
+    # inspect, ast, dis and tokenize) or for numpy
+    code = "\n".join(
+        [
+            "import os, sys",
+            "def heavy(): return [m for m in ('dataclasses', 'inspect', 'numpy') if m in sys.modules]",
+            "import markedgroups.cli",
+            "assert not heavy(), heavy()",
+            "argv = ['separate', '--omega1', '(012)', '--omega2', '(021)', '--lmax', '8', '--out', os.devnull]",
+            "assert markedgroups.cli.main(argv) == 0",
+            "assert not heavy(), heavy()",
+        ]
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_readme_library_block_runs_as_documented():
     # the README's "Library" python block runs, and every expression line
     # with a trailing comment evaluates to the repr that comment shows
