@@ -66,9 +66,6 @@ class SSpec(_Frozen):
     def __hash__(self) -> int:
         return hash((self.m, self.variant))
 
-    def __repr__(self) -> str:
-        return f"SSpec(m={self.m!r}, variant={self.variant!r})"
-
 
 def build_s_sequence(spec: SSpec, count: int) -> list[int]:
     """First `count` terms of S.

@@ -117,9 +117,6 @@ class OmegaWord(_Frozen):
     def __hash__(self) -> int:
         return hash((self.preperiod, self.period))
 
-    def __repr__(self) -> str:
-        return f"OmegaWord(preperiod={self.preperiod!r}, period={self.period!r})"
-
     def at(self, i: int) -> int:
         """Symbol at 0-based position i (the paper-style omega_{i+1})."""
         if i < len(self.preperiod):

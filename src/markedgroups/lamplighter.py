@@ -97,9 +97,6 @@ class LampElement(_Frozen):
     def __hash__(self) -> int:
         return hash((self.n, self.lamps, self.shift))
 
-    def __repr__(self) -> str:
-        return f"LampElement(n={self.n!r}, lamps={self.lamps!r}, shift={self.shift!r})"
-
 
 def _from_dict(n: int, lamps: dict[int, int], shift: int) -> LampElement:
     items = tuple(sorted((p, v % n) for p, v in lamps.items() if v % n))

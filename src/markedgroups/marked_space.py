@@ -24,14 +24,16 @@ the sublanguage where class-minimal representatives provably live; it does
 not affect answers.
 
 Comparison of two handles runs the same BFS on joint classes (equal in both
-groups). A candidate, multiplied out from the identity, either names an
-existing joint class by its pair of elements or admits a new one. One pass
-over each group's element buckets afterwards finds the conflicts: two classes
-sharing one element but not the other exhibit a word trivial in exactly one
-group, and the minimal such total length lambda pins the agreement radius
-exactly: verdicts agree on all words of length < lambda and disagree at
-lambda. The first separator is one depth-first walk over the words of length
-lambda that carries both elements, one multiplication per letter.
+groups), kept in one dict keyed by the pair of elements. A candidate,
+multiplied out from the identity, either names an existing joint class or
+admits a new one. Afterwards the classes are bucketed by their element in one
+group, then in the other: two classes in one bucket are distinct pairs, so
+they differ in the other group, and a bucket of two or more classes is a
+conflict. Its classes spell words trivial in exactly one group, and the
+minimal such total length lambda pins the agreement radius exactly: verdicts
+agree on all words of length < lambda and disagree at lambda. The first
+separator is one depth-first walk over the words of length lambda that
+carries both elements, one multiplication per letter.
 """
 
 from __future__ import annotations
@@ -126,31 +128,12 @@ def _candidate_letters(letters: Sequence[Letter], directions: list[Letter], invo
         yield (idx, sign)
 
 
-class _ClassTable:
-    """Joint classes found so far, seen from one side of a lockstep BFS: one
-    element per class, and for each element the indices of the classes that
-    have it.
-
-    Two joint classes may share an element on one side; that is what a
-    conflict is.
-    """
-
-    def __init__(self, handle: MarkedGroupHandle):
-        self.handle = handle
-        self.elems: list[Hashable] = []
-        self.buckets: dict[Hashable, list[int]] = {}
-        self.admit(handle.identity)
-
-    def admit(self, elem: Hashable) -> None:
-        self.buckets.setdefault(elem, []).append(len(self.elems))
-        self.elems.append(elem)
-
-    def element(self, w: FreeWord) -> Hashable:
-        """The element of w, multiplied out letter by letter from the identity."""
-        elem = self.handle.identity
-        for letter in w.letters:
-            elem = self.handle.mul(elem, letter)
-        return elem
+def _element(handle: MarkedGroupHandle, w: FreeWord) -> Hashable:
+    """The element of w, multiplied out letter by letter from the identity."""
+    elem = handle.identity
+    for letter in w.letters:
+        elem = handle.mul(elem, letter)
+    return elem
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +238,6 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
     if target_len < 1:
         raise ValueError("target_len must be >= 1")
     steps = max(0, -(-target_len // 2) - 1)  # ceil(target/2) - 1
-    t1, t2 = _ClassTable(h1), _ClassTable(h2)
     directions = _directions(h1.k)
     invol_both = tuple(a and b for a, b in zip(h1.involutive, h2.involutive))
 
@@ -273,46 +255,47 @@ def _lockstep(h1: MarkedGroupHandle, h2: MarkedGroupHandle, target_len: int) -> 
                 # a 2.3x faster `converge`, but a perfbench converge pass then
                 # ends before its first 0.25 s calibration tick and the
                 # benchmark cannot time it.
-                pair = (t1.element(w), t2.element(w))
+                pair = (_element(h1, w), _element(h2, w))
                 if pair in joint:
                     continue
                 joint[pair] = len(reps)
-                t1.admit(pair[0])
-                t2.admit(pair[1])
                 next_layer.append(len(reps))
                 reps.append(w)
         layer = next_layer
 
-    lam, partnered = _conflicts(reps, t1, t2)
+    lam, partnered = _conflicts(joint, [len(w) for w in reps])
     return _LockstepResult(lam, joint, partnered, invol_both)
 
 
-def _conflicts(reps: list[FreeWord], t1: _ClassTable, t2: _ClassTable) -> tuple[int | None, list[bool]]:
+def _conflicts(joint: dict[tuple[Hashable, Hashable], int], lengths: list[int]) -> tuple[int | None, list[bool]]:
     """Least conflict length lambda, and which classes conflict at all.
 
     Two joint classes conflict when they are equal in exactly one group; their
-    representatives then spell a word trivial in exactly one group. A bucket
-    of one table is split when its classes do not all share the other table's
-    element; a class has a partner exactly when it sits in a split bucket.
-    Buckets list classes in admission order, so their lengths never decrease:
-    the shortest conflicting pair inside a split bucket is its first class
-    with the first class whose other element differs.
+    representatives then spell a word trivial in exactly one group. Bucket the
+    classes by their element in one group: two classes in one bucket are
+    distinct keys of ``joint`` with the same element there, so their elements
+    in the other group differ. So every bucket of two or more classes is a
+    conflict among all of its classes, and a class has a partner exactly when
+    it shares a bucket in either group. ``joint`` lists classes in admission
+    order, so a bucket's lengths never decrease and its shortest conflicting
+    pair is its first two classes.
 
     Candidates that were not admitted need no pair of their own: such a word
     equals an earlier class X in both groups, so any class Y it conflicts
     with also conflicts with X, and len(X) + len(Y) <= len(w) + len(Y).
     """
     lam: int | None = None
-    partnered = [False] * len(reps)
-    for table, other in ((t1, t2), (t2, t1)):
-        for bucket in table.buckets.values():
-            first = bucket[0]
-            partner = next((j for j in bucket if other.elems[j] != other.elems[first]), None)
-            if partner is None:
+    partnered = [False] * len(lengths)
+    for side in (0, 1):
+        buckets: dict[Hashable, list[int]] = {}
+        for pair, i in joint.items():
+            buckets.setdefault(pair[side], []).append(i)
+        for bucket in buckets.values():
+            if len(bucket) < 2:
                 continue
             for j in bucket:
                 partnered[j] = True
-            total = len(reps[first]) + len(reps[partner])
+            total = lengths[bucket[0]] + lengths[bucket[1]]
             if lam is None or total < lam:
                 lam = total
     return lam, partnered

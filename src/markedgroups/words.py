@@ -30,8 +30,8 @@ __all__ = [
 
 class _Frozen:
     """Immutability shared by the value types: fields are set once, with
-    ``object.__setattr__`` in ``__init__``, and a value pickles and copies as
-    its constructor call over ``__slots__``."""
+    ``object.__setattr__`` in ``__init__``, and a value pickles, copies and
+    prints as its constructor call over ``__slots__``."""
 
     __slots__ = ()
 
@@ -43,6 +43,10 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +83,6 @@ class FreeWord(_Frozen):
 
     def __hash__(self) -> int:
         return hash((self.letters, self.rank))
-
-    def __repr__(self) -> str:
-        return f"FreeWord(letters={self.letters!r}, rank={self.rank!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -332,6 +332,22 @@ def test_relation_agreement_symmetric_and_monotone(h1, h2):
         prev = cur
 
 
+@pytest.mark.parametrize(
+    "h1,h2,target_len",
+    [(h1, h2, 8) for h1, h2 in PAIRS]
+    + [(L012, LAMP, 12), (G012, G021, 16), (G012, MODEL0, 16), (LAMP, lamplighter_handle(3), 8)],
+)
+def test_lockstep_partners_match_brute_force(h1, h2, target_len):
+    # a joint class is partnered exactly when some other joint class equals
+    # it in exactly one group, checked over every pair of classes
+    res = marked_space_module._lockstep(h1, h2, target_len)
+    pairs = sorted(res.joint, key=res.joint.get)
+    assert [res.joint[pair] for pair in pairs] == list(range(len(pairs)))
+    expected = [any((a1 == b1) != (a2 == b2) for b1, b2 in pairs) for a1, a2 in pairs]
+    assert res.partnered == expected
+    assert (res.lam is None) == (not any(expected))
+
+
 def test_relation_set_lamp_frozen():
     rels = {w for w in _reduced_words(2, 2) if LAMP.trivial(w)}
     texts = {word_to_str(w, ("s", "t")) for w in rels}
@@ -457,17 +473,17 @@ def test_separator_012_vs_model_needs_no_element_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("h1,h2", [(L012, LAMP), (G012, G021)])
 def test_separator_scan_multiplies_no_word_from_identity(monkeypatch, h1, h2):
-    # the scan grows each word by one letter per multiplication: it calls
-    # _ClassTable.element no more often than the lockstep it runs
+    # the scan grows each word by one letter per multiplication: it folds a
+    # word from the identity (_element) no more often than the lockstep it runs
     calls = 0
-    element = marked_space_module._ClassTable.element
+    element = marked_space_module._element
 
-    def counted(self, w):
+    def counted(handle, w):
         nonlocal calls
         calls += 1
-        return element(self, w)
+        return element(handle, w)
 
-    monkeypatch.setattr(marked_space_module._ClassTable, "element", counted)
+    monkeypatch.setattr(marked_space_module, "_element", counted)
     marked_space_module._lockstep(h1, h2, 16)
     lockstep_calls, calls = calls, 0
     assert find_separating_word(h1, h2, 16).word is not None

@@ -1,6 +1,7 @@
-"""The package as a whole: its public names resolve and each has a user,
-the README's library example and CLI lines run as documented, it needs only
-the standard library, and the test oracles import none of it."""
+"""The package as a whole: its public names resolve and each has a user, as
+does each private module-level name, the README's library example and CLI
+lines run as documented, it needs only the standard library, and the test
+oracles import none of it."""
 
 import ast
 import importlib
@@ -90,6 +91,31 @@ def test_every_public_name_has_a_user():
         for attr in getattr(importlib.import_module(name), "__all__", [])
         if attr not in used and not re.search(rf"\b{re.escape(attr)}\b", readme)
     ]
+    assert not unused, unused
+
+
+def _private_module_names(path):
+    """Names a module binds at its top level with one leading underscore:
+    its functions, classes, imports and assignment or loop targets."""
+    bound = set()
+    for stmt in ast.parse(path.read_text()).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(stmt.name)
+        elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in stmt.names)
+        else:
+            bound.update(node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_module_name_has_a_user():
+    # a private module-level name in the package is loaded somewhere in src/
+    # outside its own definition; one that nothing loads is dead code
+    paths = sorted((SRC / "markedgroups").glob("*.py"))
+    used = set().union(*(_loaded_names(path) for path in paths))
+    private = [f"{path.stem}.{name}" for path in paths for name in sorted(_private_module_names(path))]
+    assert "marked_space._lockstep" in private
+    unused = [name for name in private if name.split(".", 1)[1] not in used]
     assert not unused, unused
 
 
