@@ -46,7 +46,6 @@ __all__ = [
     "OmegaWord",
     "parse_omega",
     "EventuallyConstantError",
-    "generator_action",
     "act",
     "root_parity",
     "sections",
@@ -156,36 +155,6 @@ def parse_omega(text: str) -> OmegaWord:
     return OmegaWord(tuple(map(int, m.group(1))), tuple(map(int, m.group(2))))
 
 
-# ---------------------------------------------------------------------------
-# Tree action
-
-
-def generator_action(g: str, omega: OmegaWord, v: str) -> str:
-    """Image of vertex v (a string over '01') under one generator."""
-    if g == "a":
-        if not v:
-            return v
-        return ("1" if v[0] == "0" else "0") + v[1:]
-    if g not in "bcd":
-        raise ValueError(f"unknown generator {g!r}")
-    if not v:
-        return v
-    if v[0] == "0":
-        spin = SPIN[g][omega.first]
-        rest = v[1:]
-        if spin == "a":
-            rest = generator_action("a", omega, rest)
-        return "0" + rest
-    return "1" + generator_action(g, omega.shift(), v[1:])
-
-
-def act(w: str, omega: OmegaWord, v: str) -> str:
-    """Apply a word letter by letter, first letter first."""
-    for g in w:
-        v = generator_action(g, omega, v)
-    return v
-
-
 def root_parity(w: str) -> int:
     """Parity of the a-count: 1 means the word swaps the level-1 subtrees."""
     return w.count("a") % 2
@@ -247,6 +216,25 @@ def sections(w: str, omega: OmegaWord) -> tuple[str, str]:
         raise ValueError("sections are defined for even a-parity words only")
     w0, w1 = _level1_words(w, _omega_id(omega, faithful=False))
     return klein_reduce(w0), klein_reduce(w1)
+
+
+def act(w: str, omega: OmegaWord, v: str) -> str:
+    """Image of the vertex v (a string over 01) under w, first letter first.
+
+    The section scan applied level by level: with p the a-parity of w, w
+    sends x u to (x ^ p) w_x(u), so each letter of v is flipped by p and w
+    moves on to its section at that letter, over the shifted omega.
+    """
+    if v.strip("01"):
+        raise ValueError(f"vertex {v!r} is not a string over 01")
+    w = klein_reduce(w)
+    omega_id = _omega_id(omega, faithful=False)
+    image = []
+    for x in map(int, v):
+        image.append("01"[x ^ root_parity(w)])
+        w = klein_reduce(_level1_words(w, omega_id)[x])
+        omega_id = _NEXT[omega_id]
+    return "".join(image)
 
 
 def _is_trivial_reduced(w: str, omega_id: int) -> bool:

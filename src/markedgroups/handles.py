@@ -33,6 +33,7 @@ from .grigorchuk import (
     dead_letter_for,
     is_trivial,
     parse_omega,
+    translate_L_word,
 )
 from .lamplighter import (
     EXT_STATE_IDENTITY,
@@ -110,8 +111,8 @@ def grig_handle(omega: OmegaWord | str) -> MarkedGroupHandle:
     return make_handle(f"G_{om}", ("a", "b", "c", "d"), trivial, keys.identity, mul)
 
 
-# x = d and y = ab, the generators of L_omega, as words over (a, b, c, d)
-_L_SPELLINGS = (word_from_str("d", ("a", "b", "c", "d")), word_from_str("ab", ("a", "b", "c", "d")))
+# x and y, the generators of L_omega, spelled over (a, b, c, d) as translate_L_word spells them
+_L_SPELLINGS = tuple(word_from_str(translate_L_word(x), ("a", "b", "c", "d")) for x in "xy")
 
 
 def l_subgroup_handle(omega: OmegaWord | str) -> MarkedGroupHandle:

@@ -43,6 +43,15 @@ def _oracle_omega(text):
     return (tuple(om.preperiod), tuple(om.period))
 
 
+def _oracle_act(word, om, vertex):
+    """Image of the vertex under the word by the oracle's leaf permutation."""
+    if not vertex:
+        return ""
+    depth = len(vertex)
+    perm = oracles.oracle_word_perm(word, _oracle_omega(str(om)), depth)
+    return format(perm[int(vertex, 2)], f"0{depth}b")
+
+
 # -- omega words --------------------------------------------------------------
 
 def test_omega_canonicalization():
@@ -102,10 +111,37 @@ def test_act_is_left_to_right(otext, u, v, vertex):
 
 
 def test_defining_relations_act_trivially():
+    # act Klein-reduces its word, which would turn each relator into e before
+    # it acts, so the package's side applies the relator one letter at a time
+    depth8 = ["".join(p) for p in itertools.product("01", repeat=8)]
     for otext in ["(012)", "(021)", "(01)", "1(02)", "(0)"]:
         om = parse_omega(otext)
-        for rel in ["aa", "bb", "cc", "dd", "bcd", "bdc" if False else "cdb"]:
+        for rel in ["aa", "bb", "cc", "dd", "bcd", "cdb"]:
             assert oracles.oracle_acts_trivially(rel, _oracle_omega(otext), 10), (otext, rel)
+            for v in depth8:
+                assert functools.reduce(lambda u, x: act(x, om, u), rel, v) == v, (otext, rel, v)
+
+
+@pytest.mark.parametrize("otext", ["(012)", "1(02)", "2(01)", "(0)", "1(0)"])
+def test_act_sweep_against_oracle(otext):
+    # every word of length <= 5, reduced or not, on the 16 leaves of depth 4,
+    # so on every vertex of depth <= 4: the action keeps prefixes
+    om = parse_omega(otext)
+    images = _leaf_images(om, 4)
+    leaves = ["".join(p) for p in itertools.product("01", repeat=4)]
+    for n in range(6):
+        for letters in itertools.product("abcd", repeat=n):
+            w = "".join(letters)
+            want = [format(k, "04b") for k in images(w)]
+            assert [act(w, om, v) for v in leaves] == want, (otext, w)
+
+
+def test_act_rejects_bad_vertices_and_letters():
+    for w, v in [("a", "2"), ("", "zz"), ("b", "01 "), ("", "0x1")]:
+        with pytest.raises(ValueError, match="not a string over 01"):
+            act(w, OM012, v)
+    with pytest.raises(ValueError):
+        act("ax", OM012, "0")
 
 
 # -- sections -----------------------------------------------------------------
@@ -116,11 +152,11 @@ def test_sections_consistency(otext, word, vertex):
     if root_parity(word) != 0:
         return  # sections are defined for stabilizer elements only
     w0, w1 = sections(klein_reduce(word), om)
-    image = act(word, om, "0" + vertex)
+    image = _oracle_act(word, om, "0" + vertex)
     assert image[0] == "0"
-    assert image[1:] == act(w0, om.shift(), vertex)
-    image = act(word, om, "1" + vertex)
-    assert image[1:] == act(w1, om.shift(), vertex)
+    assert image[1:] == _oracle_act(w0, om.shift(), vertex)
+    image = _oracle_act(word, om, "1" + vertex)
+    assert image[1:] == _oracle_act(w1, om.shift(), vertex)
 
 
 def test_section_example():
@@ -129,12 +165,10 @@ def test_section_example():
 
 
 def _leaf_images(om, depth):
-    """word -> the images (as indices) of the 2^depth leaves under act,
-    folded letter by letter as act does, memoised on the prefix."""
-    leaves = ["".join(p) for p in itertools.product("01", repeat=depth)]
-    index = {v: k for k, v in enumerate(leaves)}
-    step = {x: [index[act(x, om, v)] for v in leaves] for x in "abcd"}
-    memo = {"": tuple(range(len(leaves)))}
+    """word -> the images (as indices) of the 2^depth leaves under the
+    oracle's action, folded letter by letter, memoised on the prefix."""
+    step = {x: oracles.oracle_word_perm(x, _oracle_omega(str(om)), depth) for x in "abcd"}
+    memo = {"": tuple(range(1 << depth))}
 
     def images(w):
         if w not in memo:
