@@ -17,7 +17,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from markedgroups.cli import VARIANTS, main as cli_main
+from markedgroups.circle_product import VARIANTS
+from markedgroups.cli import main as cli_main
 
 SEPARATE_PAIRS = [("(012)", "(021)"), ("(012)", "(0)"), ("(021)", "(0)"), ("(012)", "(1)"), ("(012)", "(2)")]
 

@@ -30,6 +30,7 @@ from functools import lru_cache
 from .words import _Frozen
 
 __all__ = [
+    "VARIANTS",
     "SSpec",
     "build_s_sequence",
     "in_difference_set",
@@ -295,7 +296,6 @@ def verify_minimality(n: int, m: int, window: int, variant: str = "corrected") -
 
     ok = diff_report["verdict"] == "pass" and grid_ok and witness_ok
     return {
-        "schema": 1,
         "n": n,
         "m": m,
         "variant": variant,

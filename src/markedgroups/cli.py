@@ -12,9 +12,9 @@ byte-identical outputs regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from typing import Iterable
 
 from .circle_product import VARIANTS, verify_minimality
 from .grigorchuk import EventuallyConstantError, OmegaWord, limit_trivial, parse_omega
@@ -31,10 +31,9 @@ from .marked_space import (
     agree_radius,
     find_separating_word,
     growth_sequence,
-    write_growth_csv,
 )
 from .sampling import DEFAULT_SEED, Lcg, sample_alternating_word
-from .words import gen_word_from_free, word_from_str, word_to_str
+from .words import gen_word_from_free, is_square, word_from_str, word_to_str
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -77,8 +76,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _emit_csv(header: str, rows: Iterable[Iterable[object]], out: str | None) -> None:
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
+    _emit("\n".join(lines) + "\n", out)
+
+
 def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
+    _emit(json.dumps({"schema": SCHEMA, **obj}, sort_keys=True, indent=2) + "\n", out)
 
 
 def _notice(msg: str) -> None:
@@ -136,10 +140,7 @@ def cmd_growth(args: argparse.Namespace) -> int:
         if args.omega is None:
             raise ValueError("--omega is required for tree families")
         handle = _tree_handle(parse_omega(args.omega), 4 if args.family == "grig" else 2)
-    gamma = growth_sequence(handle, args.n_max)
-    buf = io.StringIO()
-    write_growth_csv(gamma, buf)
-    _emit(buf.getvalue(), args.out)
+    _emit_csv("n,gamma", enumerate(growth_sequence(handle, args.n_max)), args.out)
     return EXIT_OK
 
 
@@ -151,12 +152,11 @@ def cmd_converge(args: argparse.Namespace) -> int:
     if args.j_min > args.j_max:
         raise ValueError("--jmin must not exceed --jmax")
     target = lamplighter_handle(2)
-    lines = ["j,agree_N,exact"]
+    rows = []
     for j in range(args.j_min, args.j_max + 1):
-        handle = l_subgroup_handle("0" * j + "(012)")
-        r = agree_radius(handle, target, args.n_max)
-        lines.append(f"{j},{r.n},{str(r.exact).lower()}")
-    _emit("\n".join(lines) + "\n", args.out)
+        r = agree_radius(l_subgroup_handle("0" * j + "(012)"), target, args.n_max)
+        rows.append((j, r.n, str(r.exact).lower()))
+    _emit_csv("j,agree_N,exact", rows, args.out)
     return EXIT_OK
 
 
@@ -165,8 +165,8 @@ def _separator_json(report: SeparatorReport, names: tuple[str, ...]) -> dict | N
         return None
     return {
         "word": word_to_str(report.word, names),
-        "length": report.length,
-        "square": report.square,
+        "length": len(report.word),
+        "square": is_square(report.word),
         "trivial_in": report.trivial_in,
     }
 
@@ -178,7 +178,6 @@ def cmd_separate(args: argparse.Namespace) -> int:
     two = find_separating_word(_tree_handle(om1, 2), _tree_handle(om2, 2), args.l_max)
     _emit_json(
         {
-            "schema": SCHEMA,
             "omega1": str(om1),
             "omega2": str(om2),
             "l_max": args.l_max,
@@ -249,7 +248,6 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     verdict = "pass" if not disagreements and not unresolved and probes_ok else "fail"
     _emit_json(
         {
-            "schema": SCHEMA,
             "max_len": args.max_len,
             "samples": args.samples,
             "seed": args.seed,

@@ -187,15 +187,21 @@ def _state_inverse(twist: Callable[[ExtState], ExtState], s: ExtState) -> ExtSta
 
 
 def eval_st_word(w: FreeWord, n: int = 2) -> LampElement:
-    """Left-to-right product of s/t images of a rank-2 free word."""
+    """The element of a rank-2 free word over s, t, walked by a cursor.
+
+    t^{+-1} moves the cursor and s^{+-1} adds +-1 to the lamp under it. No
+    ``lamp_multiply``: as the lamp handles' oracle it is independent of ``mul``.
+    """
     if w.rank != 2:
         raise ValueError("expected a rank-2 word over s, t")
-    images = (lamp_s(n), lamp_t(n))
-    acc = lamp_identity(n)
+    lamps: dict[int, int] = {}
+    cursor = 0
     for idx, sign in w.letters:
-        g = images[idx]
-        acc = lamp_multiply(acc, g if sign == 1 else lamp_inverse(g))
-    return acc
+        if idx == 0:
+            lamps[cursor] = lamps.get(cursor, 0) + sign
+        else:
+            cursor += sign
+    return _from_dict(n, lamps, cursor)
 
 
 _S: ExtState = (1, 0, 0, 0)  # the lamp at position 0
@@ -399,7 +405,6 @@ def structure_report(window: int, corrupt_alpha: bool = False, sample_count: int
 
     verdict = "pass" if all(c["pass"] for c in checks.values()) else "fail"
     return {
-        "schema": 1,
         "window": window,
         "modulus": 2,
         "negative_control": corrupt_alpha,

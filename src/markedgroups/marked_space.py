@@ -34,13 +34,16 @@ minimal such total length lambda pins the agreement radius exactly: verdicts
 agree on all words of length < lambda and disagree at lambda. The first
 separator is one depth-first walk over the words of length lambda that
 carries both elements, one multiplication per letter.
+
+Results are records, and the command line alone turns them into CSV or JSON;
+a :class:`SeparatorReport` keeps the word but not its length or squareness.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .words import FreeWord, empty_word, is_square
+from .words import FreeWord, empty_word
 
 __all__ = [
     "MarkedGroupHandle",
@@ -52,7 +55,6 @@ __all__ = [
     "agree_radius",
     "SeparatorReport",
     "find_separating_word",
-    "write_growth_csv",
 ]
 
 Letter = tuple[int, int]  # (generator index, sign)
@@ -328,13 +330,11 @@ class SeparatorReport(NamedTuple):
 
     ``word`` is None when no separator exists within the length bound;
     otherwise it is the first word in enumeration order (length-then-lex)
-    with differing verdicts. ``square`` states whether it is a square in the
-    free group (cyclic reduction with equal halves).
+    with differing verdicts, and ``trivial_in`` is the label of the group
+    in which it is trivial.
     """
 
     word: FreeWord | None
-    length: int | None
-    square: bool | None
     trivial_in: str | None
 
 
@@ -382,20 +382,10 @@ def _first_separator(res: _LockstepResult, h1: MarkedGroupHandle, h2: MarkedGrou
 def find_separating_word(h1: MarkedGroupHandle, h2: MarkedGroupHandle, max_len: int) -> SeparatorReport:
     """First word (enumeration order) trivial in exactly one group, length <= max_len."""
     if max_len == 0:
-        return SeparatorReport(None, None, None, None)
+        return SeparatorReport(None, None)
     result = _lockstep(h1, h2, max_len)
     if result.lam is None or result.lam > max_len:
-        return SeparatorReport(None, None, None, None)
+        return SeparatorReport(None, None)
     word, side = _first_separator(result, h1, h2)
     label = (h1 if side == 0 else h2).label
-    return SeparatorReport(word, len(word), is_square(word), label)
-
-
-# ---------------------------------------------------------------------------
-# CSV surfaces
-
-
-def write_growth_csv(gamma: Sequence[int], out: TextIO) -> None:
-    """Rows n,gamma with a header; deterministic byte output."""
-    out.write("n,gamma\n")
-    out.writelines(f"{n},{g}\n" for n, g in enumerate(gamma))
+    return SeparatorReport(word, label)

@@ -202,13 +202,13 @@ def brute_gamma_tree(omega, n_max: int, depth: int) -> list[int]:
     return gamma
 
 
-def _lamp_mult(u, v):
-    """Independent wreath-product multiplication: (lamps, shift) pairs, mod 2."""
+def _lamp_mult(u, v, n=2):
+    """Independent wreath-product multiplication: (lamps, shift) pairs, mod n."""
     lamps1, z1 = u
     lamps2, z2 = v
     lamps = dict(lamps1)
     for pos, val in lamps2.items():
-        lamps[pos + z1] = (lamps.get(pos + z1, 0) + val) % 2
+        lamps[pos + z1] = (lamps.get(pos + z1, 0) + val) % n
     return ({p: v for p, v in lamps.items() if v}, z1 + z2)
 
 
@@ -241,13 +241,13 @@ def brute_gamma_lamp(n_max: int) -> list[int]:
     return gamma
 
 
-def lamp_word_element(letters) -> tuple:
-    """Element of an (s, t) word, given as (index, sign) pairs, in Z_2 wr Z:
-    its lit lamps, sorted, and its cursor."""
-    gens = {(0, 1): ({0: 1}, 0), (0, -1): ({0: 1}, 0), (1, 1): ({}, 1), (1, -1): ({}, -1)}
+def lamp_word_element(letters, n=2) -> tuple:
+    """Element of an (s, t) word, given as (index, sign) pairs, in Z_n wr Z:
+    its lit lamps with their values, sorted, and its cursor."""
+    gens = {(0, 1): ({0: 1}, 0), (0, -1): ({0: n - 1}, 0), (1, 1): ({}, 1), (1, -1): ({}, -1)}
     e = ({}, 0)
     for letter in letters:
-        e = _lamp_mult(e, gens[letter])
+        e = _lamp_mult(e, gens[letter], n)
     lamps, z = e
     return (tuple(sorted(lamps.items())), z)
 

@@ -375,9 +375,7 @@ def test_minimality_original_fails_for_m2():
 
 def test_minimality_report_shape_and_determinism():
     rep = verify_minimality(2, 1, 8)
-    assert rep["schema"] == 1
     assert set(rep) == {
-        "schema",
         "n",
         "m",
         "variant",

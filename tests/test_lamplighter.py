@@ -27,7 +27,7 @@ from markedgroups.lamplighter import (
     structure_report,
     t_n_word,
 )
-from markedgroups.words import word_from_str
+from markedgroups.words import FreeWord, word_from_str
 
 MODS = st.sampled_from((2, 3, 5))
 
@@ -84,12 +84,13 @@ def _commutator(u, v):
     return lamp_multiply(lamp_multiply(lamp_inverse(u), lamp_inverse(v)), lamp_multiply(u, v))
 
 
-@given(lamp_elements())
-def test_lamp_metabelian(u):
-    # commutators land in the abelian lamp part, so they all commute
-    v = lamp_multiply(u, lamp_t(u.n))
-    c1 = _commutator(u, v)
-    assert c1.shift == 0
+@given(st.tuples(*(st.tuples(*[lamp_elements(n=n)] * 4) for n in (2, 3, 5))))
+def test_lamp_metabelian(quads):
+    # commutators land in the abelian lamp part, so any two of them commute
+    for u, v, x, y in quads:
+        c1, c2 = _commutator(u, v), _commutator(x, y)
+        assert c1.shift == c2.shift == 0
+        assert lamp_multiply(c1, c2) == lamp_multiply(c2, c1)
 
 
 def _small_lamp_elements(n, positions, shifts):
@@ -366,6 +367,19 @@ def test_eval_st_word():
     assert eval_st_word(w) == lamp_multiply(lamp_s(2), lamp_t(2))
     assert eval_st_word(word_from_str("ss", ("s", "t"))) == lamp_identity(2)
     assert eval_st_word(word_from_str("tT", ("s", "t"))) == lamp_identity(2)
+
+
+def test_eval_st_word_sweep_against_independent_model():
+    # every word over s, S, t, T of length <= 8, cancelling pairs included,
+    # against the oracle's product of generator images: mod 2, 3 and 5
+    letters = [(0, 1), (0, -1), (1, 1), (1, -1)]
+    words = [w for length in range(9) for w in product(letters, repeat=length)]
+    assert len(words) == (4**9 - 1) // 3
+    for w in words:
+        free = FreeWord(w, 2)
+        for n in (2, 3, 5):
+            elem = eval_st_word(free, n)
+            assert (elem.lamps, elem.shift) == oracles.lamp_word_element(w, n), (w, n)
 
 
 # -- shift generators t_i -----------------------------------------------------

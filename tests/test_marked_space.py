@@ -1,6 +1,5 @@
 """Metric-space machinery: balls, growth, agreement radii, separators."""
 
-import io
 import itertools
 
 import pytest
@@ -27,12 +26,12 @@ from markedgroups.marked_space import (
     find_separating_word,
     growth_sequence,
     make_handle,
-    write_growth_csv,
 )
 from markedgroups.words import (
     FreeWord,
     free_reduce,
     gen_word_from_free,
+    is_square,
     word_from_str,
     word_to_str,
 )
@@ -431,7 +430,6 @@ def test_separator_is_first_in_enumeration_order(h1, h2, max_len):
     rep = find_separating_word(h1, h2, max_len)
     assert rep.word is not None
     assert rep.word == _first_by_enumeration(h1, h2, max_len)
-    assert rep.length == len(rep.word)
     assert h1.trivial(rep.word) != h2.trivial(rep.word)
     assert rep.trivial_in == (h1.label if h1.trivial(rep.word) else h2.label)
 
@@ -439,15 +437,14 @@ def test_separator_is_first_in_enumeration_order(h1, h2, max_len):
 def test_separator_lamp_vs_free_frozen():
     rep = find_separating_word(LAMP, FREE2, 6)
     assert word_to_str(rep.word, ("s", "t")) == oracles.SEPARATOR_LAMP_VS_FREE
-    assert rep.square is True
+    assert is_square(rep.word)
     assert rep.trivial_in == LAMP.label
 
 
 def test_separator_012_vs_021_frozen():
     rep = find_separating_word(G012, G021, 16)
     assert gen_word_from_free(rep.word) == oracles.SEPARATOR_012_VS_021
-    assert rep.length == 16
-    assert rep.square is True
+    assert len(rep.word) == 16 and is_square(rep.word)
     assert rep.trivial_in == G021.label
     # confirmed on both sides by the independent tree oracle
     assert oracles.oracle_acts_trivially(oracles.SEPARATOR_012_VS_021, oracles.OMEGA_021, 12)
@@ -466,7 +463,7 @@ def test_separator_012_vs_model_needs_no_element_arithmetic(monkeypatch):
     rep = find_separating_word(grig_handle("(012)"), ext_model_handle(0), 16)
     word = gen_word_from_free(rep.word)
     assert word == "abadabadabadabad"
-    assert (rep.length, rep.square, rep.trivial_in) == (16, True, "G_(0)[model]")
+    assert (len(rep.word), is_square(rep.word), rep.trivial_in) == (16, True, "G_(0)[model]")
     assert oracles.ext_model_oracle(word, "d") == (frozenset(), 0, 0)
     assert not oracles.oracle_acts_trivially(word, oracles.OMEGA_012, 12)
 
@@ -492,7 +489,7 @@ def test_separator_scan_multiplies_no_word_from_identity(monkeypatch, h1, h2):
 
 def test_separator_absent_within_bound():
     rep = find_separating_word(G012, G021, 8)
-    assert rep == type(rep)(None, None, None, None)
+    assert rep == type(rep)(None, None)
     # length 0: only the empty word, trivial everywhere
     assert find_separating_word(G012, G021, 0) == rep
 
@@ -554,11 +551,3 @@ def test_subgroup_handle_sweep(parent):
             for v in short:
                 quotient = oracles.free_normal_form(u.letters + v.inverse().letters)
                 assert (elems[u.letters] == elems[v.letters]) == verdict[quotient], (h.label, u, v)
-
-
-# -- csv surfaces -------------------------------------------------------------
-
-def test_growth_csv_bytes():
-    buf = io.StringIO()
-    write_growth_csv([1, 5, 11], buf)
-    assert buf.getvalue() == "n,gamma\n0,1\n1,5\n2,11\n"

@@ -52,6 +52,25 @@ def test_oracles_import_nothing_from_the_package():
     assert not wrong, wrong
 
 
+def test_only_the_cli_writes_payload_bytes():
+    # the library returns records; cli alone stamps the schema version and
+    # turns them into JSON or CSV text, so it alone holds a "schema" literal
+    # or imports json, io or TextIO
+    found = []
+    for path in sorted((SRC / "markedgroups").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value == "schema":
+                found.append((path.name, "schema"))
+            elif isinstance(node, ast.Import):
+                found.extend((path.name, alias.name) for alias in node.names if alias.name in ("json", "io"))
+            elif isinstance(node, ast.ImportFrom):
+                if node.module in ("json", "io"):
+                    found.append((path.name, node.module))
+                found.extend((path.name, alias.name) for alias in node.names if alias.name == "TextIO")
+    assert ("cli.py", "schema") in found and ("cli.py", "json") in found
+    assert all(name == "cli.py" for name, _ in found), found
+
+
 def _loaded_names(path):
     """Names a file loads, as names or attributes, outside the definition
     that binds them; __all__ strings and imports do not count."""

@@ -224,7 +224,7 @@ def _records():
         _lockstep(LAMP, lamplighter_handle(3), 4),
         AgreeRadius(7, True),
         find_separating_word(LAMP, lamplighter_handle(3), 8),
-        SeparatorReport(None, None, None, None),
+        SeparatorReport(None, None),
     ]
 
 
