@@ -59,14 +59,6 @@ class SSpec(_Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "variant", variant)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.variant) == (other.m, other.variant)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.variant))
-
 
 def build_s_sequence(spec: SSpec, count: int) -> list[int]:
     """First `count` terms of S.

@@ -35,7 +35,6 @@ automaton of the Klein forms of length <= 2, which are closed under sections.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 
@@ -107,14 +106,6 @@ class OmegaWord(_Frozen):
             per = (per[-1],) + per[:-1]
         object.__setattr__(self, "preperiod", pre)
         object.__setattr__(self, "period", per)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.preperiod, self.period) == (other.preperiod, other.period)
-
-    def __hash__(self) -> int:
-        return hash((self.preperiod, self.period))
 
     def at(self, i: int) -> int:
         """Symbol at 0-based position i (the paper-style omega_{i+1})."""
@@ -398,16 +389,18 @@ def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
 
     Evaluates is_trivial(w) in the groups for 0^k(012)... with k running over
     the window; returns the common verdict when all agree and None (unstable)
-    otherwise. Window default starts past log2 of the word length, where the
-    contraction has consumed the prefix. w is reduced once, and each 0^k(012)
-    maps to an interned id whose shift orbit runs through the ids of
-    0^{k-1}(012), ..., so the window's contractions share the per-id memos
-    of the shifts they pass through: 0^k(012) at depth j uses the memo of
-    0^{k-j}(012), which is the root memo of the window's k - j if in range.
+    otherwise. The default window is k = b + 2, ..., b + 6, for b the bit
+    length of the reduced word's length: the contraction reads omega only
+    below position b, where every k in the window has zeros. w is reduced
+    once, and each 0^k(012) maps to an interned id whose shift orbit runs
+    through the ids of 0^{k-1}(012), ..., so the window's contractions share
+    the per-id memos of the shifts they pass through: 0^k(012) at depth j
+    uses the memo of 0^{k-j}(012), which is the root memo of the window's
+    k - j if in range.
     """
     w = klein_reduce(w)
     if k_range is None:
-        base = math.ceil(math.log2(len(w) + 1)) + 2 if w else 2
+        base = len(w).bit_length() + 2
         k_range = range(base, base + 5)
     if len(k_range) < 3:
         raise ValueError("stability window needs at least 3 values")

@@ -89,14 +89,6 @@ class LampElement(_Frozen):
         object.__setattr__(self, "lamps", lamps)
         object.__setattr__(self, "shift", shift)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.lamps, self.shift) == (other.n, other.lamps, other.shift)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.lamps, self.shift))
-
 
 def _from_dict(n: int, lamps: dict[int, int], shift: int) -> LampElement:
     items = tuple(sorted((p, v % n) for p, v in lamps.items() if v % n))

@@ -14,6 +14,7 @@ belongs to the group modules.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 
 __all__ = [
@@ -29,11 +30,21 @@ __all__ = [
 
 
 class _Frozen:
-    """Immutability shared by the value types: fields are set once, with
-    ``object.__setattr__`` in ``__init__``, and a value pickles, copies and
-    prints as its constructor call over ``__slots__``."""
+    """Value semantics shared by the value types, derived from ``__slots__``.
+
+    Fields are set once, with ``object.__setattr__`` in ``__init__``, and
+    cannot be assigned or deleted afterwards. A value equals only a value of
+    its own class whose fields are equal, in slot order; it hashes as the
+    tuple of its fields; it pickles, copies and prints as its constructor
+    call. ``_key`` reads the field tuple, one ``attrgetter`` per class, so a
+    value type has at least two slots.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls.__slots__)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -41,8 +52,16 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._key(self)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -75,14 +94,6 @@ class FreeWord(_Frozen):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "rank", rank)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.letters, self.rank) == (other.letters, other.rank)
-
-    def __hash__(self) -> int:
-        return hash((self.letters, self.rank))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -127,32 +138,28 @@ def is_square(w: FreeWord) -> bool:
     return core[: n // 2] == core[n // 2 :]
 
 
-def word_to_str(w: FreeWord, names: tuple[str, ...] | None = None) -> str:
-    """Letters as characters; inverse letters are uppercased.
+def _check_names(names: tuple[str, ...]) -> None:
+    if not all(len(n) == 1 and n.islower() for n in names):
+        raise ValueError("generator names must be single lowercase characters")
 
-    Rank 2 defaults to ("s", "t"); other ranks fall back to x1..xk and are
-    space-separated, so pass explicit names for readable output.
-    """
-    if names is None:
-        names = ("s", "t") if w.rank == 2 else tuple(f"x{i+1}" for i in range(w.rank))
+
+def word_to_str(w: FreeWord, names: tuple[str, ...]) -> str:
+    """Letters as characters, one name per generator; inverse letters are
+    uppercased. ``names`` must be single lowercase characters."""
+    _check_names(names)
     if len(names) != w.rank:
         raise ValueError("need one name per generator")
-    parts = []
-    for idx, sign in w.letters:
-        name = names[idx]
-        parts.append(name if sign == 1 else name.upper())
-    return "".join(parts) if all(len(n) == 1 for n in names) else " ".join(parts)
+    return "".join(names[idx] if sign == 1 else names[idx].upper() for idx, sign in w.letters)
 
 
 def word_from_str(text: str, names: tuple[str, ...]) -> FreeWord:
     """Parse a word; lowercase letter = generator, uppercase = inverse.
 
-    Whitespace is ignored. ``names`` must be single characters.
+    Whitespace is ignored. ``names`` must be single lowercase characters.
     """
+    _check_names(names)
     lookup = {}
     for i, n in enumerate(names):
-        if len(n) != 1 or not n.islower():
-            raise ValueError("generator names must be single lowercase characters")
         lookup[n] = (i, 1)
         lookup[n.upper()] = (i, -1)
     letters = []

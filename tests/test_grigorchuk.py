@@ -26,6 +26,7 @@ from markedgroups.grigorchuk import (
     sections,
     translate_L_word,
 )
+from markedgroups.lamplighter import EXT_STATE_IDENTITY, eval_abcd_state
 from markedgroups.words import klein_reduce
 
 OM012 = parse_omega("(012)")
@@ -317,7 +318,18 @@ def test_limit_trivial_frozen():
     assert limit_trivial("d") is False
     assert limit_trivial(translate_L_word("xx")) is True
     assert limit_trivial(translate_L_word("xyxy")) is False
-    assert limit_trivial(translate_L_word("yxYX" * 4)) in (True, None)
+    assert limit_trivial(translate_L_word("yxYX" * 4)) is True
+
+
+def test_limit_trivial_default_window_sweep():
+    # the empty word and the 32,800 alternating words of length <= 16: the
+    # default window is stable (never None) and its verdict is the
+    # lamplighter model's
+    cases = 0
+    for w in ["", *oracles.alternating_words(16)]:
+        assert limit_trivial(w) is (eval_abcd_state(w) == EXT_STATE_IDENTITY), w
+        cases += 1
+    assert cases == 32801
 
 
 def test_contraction_reads_omega_below_log_length():

@@ -52,23 +52,58 @@ def test_oracles_import_nothing_from_the_package():
     assert not wrong, wrong
 
 
+def _package_trees():
+    return [(path.name, ast.parse(path.read_text())) for path in sorted((SRC / "markedgroups").glob("*.py"))]
+
+
 def test_only_the_cli_writes_payload_bytes():
     # the library returns records; cli alone stamps the schema version and
     # turns them into JSON or CSV text, so it alone holds a "schema" literal
     # or imports json, io or TextIO
     found = []
-    for path in sorted((SRC / "markedgroups").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and node.value == "schema":
-                found.append((path.name, "schema"))
+                found.append((name, "schema"))
             elif isinstance(node, ast.Import):
-                found.extend((path.name, alias.name) for alias in node.names if alias.name in ("json", "io"))
+                found.extend((name, alias.name) for alias in node.names if alias.name in ("json", "io"))
             elif isinstance(node, ast.ImportFrom):
                 if node.module in ("json", "io"):
-                    found.append((path.name, node.module))
-                found.extend((path.name, alias.name) for alias in node.names if alias.name == "TextIO")
+                    found.append((name, node.module))
+                found.extend((name, alias.name) for alias in node.names if alias.name == "TextIO")
     assert ("cli.py", "schema") in found and ("cli.py", "json") in found
     assert all(name == "cli.py" for name, _ in found), found
+
+
+def test_no_floating_point_in_the_package():
+    # every verdict is exact: no module imports math, divides with /, or
+    # holds a float literal
+    found = []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found.extend((name, alias.name) for alias in node.names if alias.name == "math")
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.append((name, "math"))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append((name, "/"))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((name, node.value))
+    assert not found, found
+
+
+def test_only_frozen_defines_equality_and_hashing():
+    # the value types inherit __eq__ and __hash__ from words._Frozen, which
+    # derives both from __slots__
+    found = sorted(
+        (name, node.name, item.name)
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("__eq__", "__hash__")
+    )
+    assert found == [("words.py", "_Frozen", "__eq__"), ("words.py", "_Frozen", "__hash__")]
 
 
 def _loaded_names(path):

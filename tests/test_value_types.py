@@ -2,8 +2,8 @@
 
 The four validated value types (FreeWord, OmegaWord, LampElement, SSpec) are
 immutable slotted classes and the five records are named tuples. For every
-value: equality holds exactly when all fields are equal, equal values hash
-equal, the repr evaluates back to an equal value, fields can be neither
+value: equality holds exactly when all fields are equal, a value hashes as
+the tuple of its fields, the repr evaluates back to an equal value, fields can be neither
 assigned nor deleted, and each invalid input raises its ValueError message.
 """
 
@@ -89,6 +89,7 @@ def test_equal_exactly_when_fields_equal_and_hash_agrees(kind):
     values = VALUES[kind]
     for x in values:
         assert x == x and not x != x
+        assert hash(x) == hash(_fields(x))  # pins set and dict orders
         assert x != _fields(x)  # a value never equals a bare tuple of its fields
         for y in values:
             same = _fields(x) == _fields(y)

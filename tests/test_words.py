@@ -164,6 +164,16 @@ def test_word_str_round_trip():
         assert word_to_str(w, names) == text
 
 
+def test_word_str_names_are_single_lowercase_characters():
+    w = word_from_str("sT", ("s", "t"))
+    for names in [("s", "T"), ("s", "tt"), ("s", ""), ("x1", "x2")]:
+        for call in (lambda: word_to_str(w, names), lambda: word_from_str("", names)):
+            with pytest.raises(ValueError, match="single lowercase characters"):
+                call()
+    with pytest.raises(ValueError, match="one name per generator"):
+        word_to_str(w, ("s", "t", "u"))
+
+
 def test_word_from_str_ignores_spaces():
     assert word_from_str("s s t", ("s", "t")) == word_from_str("sst", ("s", "t"))
 
