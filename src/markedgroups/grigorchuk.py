@@ -24,8 +24,8 @@ tables indexed by an int id, with one memo of verdicts per id, and one scan
 upper-cases the letters after an odd number of a's so that each section is
 one ``str.translate``. This
 requires omega not eventually constant (the tree action is not faithful
-there); constant sequences are served by the wreath model in
-:mod:`markedgroups.lamplighter` via :func:`route_constant`.
+there); a constant sequence (s) is served by the wreath model of
+:func:`markedgroups.handles.ext_model_handle` for its symbol s.
 
 Every element also has an exact key (:class:`TreeKeys`): the interned triple
 (root parity, key of section 0, key of section 1). A key is multiplied by a
@@ -53,8 +53,6 @@ __all__ = [
     "order_of",
     "translate_L_word",
     "limit_trivial",
-    "route_constant",
-    "dead_letter_for",
 ]
 
 
@@ -168,7 +166,7 @@ def _omega_id(omega: OmegaWord, faithful: bool = True) -> int:
     not faithful, so the contraction would answer for the wrong group."""
     if faithful and omega.eventually_constant:
         raise EventuallyConstantError(
-            f"omega {omega} is eventually constant; use the wreath model (route_constant) or limit_trivial instead"
+            f"omega {omega} is eventually constant; use the wreath model (handles.ext_model_handle) or limit_trivial instead"
         )
     om = omega
     while om not in _OMEGA_IDS:
@@ -372,7 +370,6 @@ def translate_L_word(w: str) -> str:
     x maps to d (an involution) and y to ab, so the image generates the
     index-2 subgroup <d, ab>. The result is Klein-reduced.
     """
-    w = "".join(w.split())
     if bad := re.search("[^xyXY]", w):
         raise ValueError(f"unknown L-generator {bad.group()!r}; expected x, y, X or Y")
     return klein_reduce(w.translate(_L_LETTERS))
@@ -409,26 +406,3 @@ def limit_trivial(w: str, k_range: range | None = None) -> bool | None:
         return verdicts.pop()
     return None
 
-
-def dead_letter_for(symbol: int) -> str:
-    """The letter whose spin entry at the symbol is e (acts like the lamp)."""
-    for x in "bcd":
-        if SPIN[x][symbol] == "e":
-            return x
-    raise ValueError(f"symbol must be 0, 1 or 2, got {symbol}")
-
-
-def route_constant(symbol: int) -> dict[str, str]:
-    """Relabeling of {b,c,d} that matches a constant sequence to the wreath model.
-
-    The dead letter (spin entry e at the symbol) plays the model's d role;
-    the two active letters take the b and c roles in alphabetical order. Any
-    assignment of the two actives works: the model has an automorphism
-    swapping its b and c images while fixing the other two generators.
-    """
-    dead = dead_letter_for(symbol)
-    actives = [x for x in "bcd" if x != dead]
-    relabel = {"a": "a", dead: "d"}
-    relabel[actives[0]] = "b"
-    relabel[actives[1]] = "c"
-    return relabel

@@ -30,7 +30,6 @@ from typing import Hashable, Sequence
 from .grigorchuk import (
     OmegaWord,
     TreeKeys,
-    dead_letter_for,
     is_trivial,
     parse_omega,
     translate_L_word,
@@ -136,20 +135,19 @@ def lamplighter_handle(n: int = 2) -> MarkedGroupHandle:
 
 
 def ext_model_handle(symbol: int) -> MarkedGroupHandle:
-    """The extension model of the constant-sequence group, marked (a, b, c, d).
+    """The extension model of the constant sequence (symbol), marked (a, b, c, d).
 
-    The dead letter for the symbol plays the s role; evaluation lands in
+    The letter dead at the symbol plays the s role; evaluation lands in
     (Z_2 wr Z) x| Z_2 where comparison is exact.
     """
-    dead = dead_letter_for(symbol)
     # every letter is an involution, so a letter and its inverse share an image
     by_flip = [
         {(i, sign): images[ch] for i, ch in enumerate("abcd") for sign in (1, -1)}
-        for images in ext_pretwisted_images(dead)
+        for images in ext_pretwisted_images(symbol)
     ]
 
     def trivial(w: FreeWord) -> bool:
-        return eval_abcd_state(gen_word_from_free(w), dead) == EXT_STATE_IDENTITY
+        return eval_abcd_state(gen_word_from_free(w), symbol) == EXT_STATE_IDENTITY
 
     def mul(elem, letter):
         return ext_state_mul(elem, by_flip[elem[3]][letter])
@@ -157,10 +155,15 @@ def ext_model_handle(symbol: int) -> MarkedGroupHandle:
     return make_handle(f"G_({symbol})[model]", ("a", "b", "c", "d"), trivial, EXT_STATE_IDENTITY, mul)
 
 
-def free_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHandle:
-    """Free group of rank k: only the empty word is trivial."""
-    if names is None:
-        names = tuple("stuvwxyz"[:k]) if k <= 8 else tuple(f"x{i}" for i in range(1, k + 1))
+def _formal_names(k: int) -> tuple[str, ...]:
+    """The generator names s, t, u, ... of a group with no names of its own."""
+    if k > 8:
+        raise ValueError(f"at most 8 formal generators (s..z), got {k}")
+    return tuple("stuvwxyz"[:k])
+
+
+def free_handle(k: int) -> MarkedGroupHandle:
+    """Free group of rank k <= 8, marked with s, t, u, ..."""
 
     def trivial(w: FreeWord) -> bool:
         return len(free_reduce(w)) == 0
@@ -170,11 +173,9 @@ def free_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHand
             return elem[:-1]
         return elem + (letter,)
 
-    return make_handle(f"F{k}", names, trivial, (), mul)
+    return make_handle(f"F{k}", _formal_names(k), trivial, (), mul)
 
 
-def trivial_handle(k: int, names: tuple[str, ...] | None = None) -> MarkedGroupHandle:
-    """The trivial group with k formal generators."""
-    if names is None:
-        names = tuple(f"g{i}" for i in range(1, k + 1))
-    return make_handle("1", names, lambda w: True, 0, lambda elem, letter: 0)
+def trivial_handle(k: int) -> MarkedGroupHandle:
+    """The trivial group with k <= 8 formal generators s, t, u, ..."""
+    return make_handle("1", _formal_names(k), lambda w: True, 0, lambda elem, letter: 0)

@@ -16,15 +16,20 @@ companion of t -> t^{-1} consistent with the a..d generator dictionary below
 (the other candidate reflection, f(-1-i), would send s to t^{-1} s t and
 break c^2 = e).
 
-Generator dictionary for the tree-family letters, with d as the dead letter:
+Generator dictionary for the tree-family letters of the constant sequence
+(0), where d is the dead letter (its spin entry is e):
 
     a -> (identity, flip)      d -> (s, no flip)
     b -> a . t                 c -> b . d
 
-so that the product ab evaluates to (t, no flip). Other dead letters are
-served by relabeling (see grigorchuk.route_constant). The three dictionaries
-are built once at import, where all five defining relations a^2, b^2, c^2,
-d^2, bcd are verified for each of them.
+so that the product ab evaluates to (t, no flip). The constant sequence (s)
+for symbol s = 1, 2 gets the same images relabelled from ``grigorchuk.SPIN``:
+the letter dead at s takes d's image and the two letters active at s take
+b's and c's, in alphabetical order. Any assignment of the two actives works:
+the model has an automorphism swapping its b and c images while fixing the
+other two generators. The three dictionaries, indexed by symbol, are built
+once at import, where all five defining relations a^2, b^2, c^2, d^2, bcd
+are verified for each of them.
 
 The extension has no element type: it works on one normal form, a state
 tuple (mask, low, shift, flip) standing for (lamps, shift) . a^flip. Bit i
@@ -39,11 +44,10 @@ is set up (the identity for the structure report's negative control), so no
 
 Every a..d word is one fold: one ``ext_state_mul`` per letter, by the
 letter's image twisted ahead of time for the current flip. The tables of
-twisted images, one pair per dead letter with upper case included, are
-built once at import from the d-dead images and ``route_constant``; the
-structure report builds its own pair from its twist. ``eval_abcd_state``
-folds a word over these tables, and the extension-model handle multiplies
-by them one letter at a time.
+twisted images, one pair per symbol over the four lower-case letters, are
+built once at import; the structure report builds its own pair from its
+twist. ``eval_abcd_state`` folds a word over these tables, and the
+extension-model handle multiplies by them one letter at a time.
 """
 
 from __future__ import annotations
@@ -51,11 +55,15 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
-from .grigorchuk import dead_letter_for, route_constant
+from .grigorchuk import SPIN
 from .words import FreeWord, _Frozen
 
 __all__ = [
     "LampElement",
+    "EXT_STATE_IDENTITY",
+    "ext_state_mul",
+    "ext_pretwisted_images",
+    "eval_abcd_state",
     "lamp_identity",
     "lamp_s",
     "lamp_t",
@@ -212,23 +220,20 @@ LetterTables = tuple[Mapping[str, ExtState], Mapping[str, ExtState]]
 
 
 def _letter_tables(twist: Callable[[ExtState], ExtState], images: Mapping[str, ExtState]) -> LetterTables:
-    """Each letter's image, upper case included, twisted ahead for a left
-    factor of flip 0 and of flip 1."""
-    plain = {}
-    for letter, s in images.items():
-        plain[letter] = plain[letter.upper()] = s
-    return MappingProxyType(plain), MappingProxyType({letter: twist(s) for letter, s in plain.items()})
+    """Each letter's image, twisted ahead for a left factor of flip 0 and of flip 1."""
+    return MappingProxyType(images), MappingProxyType({letter: twist(s) for letter, s in images.items()})
 
 
-def _pretwisted_tables() -> dict[str, LetterTables]:
-    """Letter tables for each dead letter, relabelled from the d-dead images."""
+def _pretwisted_tables() -> tuple[LetterTables, ...]:
+    """Letter tables for each symbol, relabelled from the images at symbol 0."""
     canonical = _abcd_states(alpha)
-    tables = {}
+    tables = []
     for symbol in range(3):
-        relabel = route_constant(symbol)
-        images = {letter: canonical[relabel[letter]] for letter in "abcd"}
-        tables[dead_letter_for(symbol)] = _letter_tables(alpha, images)
-    return tables
+        dead = next(x for x in "bcd" if SPIN[x][symbol] == "e")
+        active_b, active_c = (x for x in "bcd" if x != dead)
+        images = {"a": canonical["a"], active_b: canonical["b"], active_c: canonical["c"], dead: canonical["d"]}
+        tables.append(_letter_tables(alpha, images))
+    return tuple(tables)
 
 
 def _fold(tables: LetterTables, w: str) -> ExtState:
@@ -237,32 +242,27 @@ def _fold(tables: LetterTables, w: str) -> ExtState:
     for ch in w:
         image = tables[acc[3]].get(ch)
         if image is None:
-            if ch.isspace():
-                continue
             raise ValueError(f"letter {ch!r} not in alphabet abcd")
         acc = ext_state_mul(acc, image)
     return acc
 
 
-def ext_pretwisted_images(dead_letter: str = "d") -> LetterTables:
-    """States of the a..d images, upper case included, twisted ahead for the
-    flip of the left factor.
+def ext_pretwisted_images(symbol: int = 0) -> LetterTables:
+    """States of the a..d images in the model of the constant sequence
+    (symbol), twisted ahead for the flip of the left factor.
 
-    ``ext_state_mul(u, ext_pretwisted_images(dead)[u[3]][letter])`` is u
+    ``ext_state_mul(u, ext_pretwisted_images(symbol)[u[3]][letter])`` is u
     times the letter, with no twist applied at multiplication time.
     """
-    tables = _PRETWISTED.get(dead_letter)
-    if tables is None:
-        raise ValueError("dead letter must be one of b, c, d")
-    return tables
+    if symbol not in (0, 1, 2):
+        raise ValueError(f"symbol must be 0, 1 or 2, got {symbol!r}")
+    return _PRETWISTED[symbol]
 
 
-def eval_abcd_state(w: str, dead_letter: str = "d") -> ExtState:
-    """The state of a word over a..d in the extension model.
-
-    Whitespace is skipped and upper case letters are the same involutions.
-    """
-    return _fold(ext_pretwisted_images(dead_letter), w)
+def eval_abcd_state(w: str, symbol: int = 0) -> ExtState:
+    """The state of a word over the lower-case letters a..d in the model of
+    the constant sequence (symbol)."""
+    return _fold(ext_pretwisted_images(symbol), w)
 
 
 _RELATIONS = ("aa", "bb", "cc", "dd", "bcd")
@@ -270,19 +270,19 @@ _PRETWISTED = _pretwisted_tables()
 
 
 def _verify_dictionaries() -> None:
-    for dead in "bcd":
+    for symbol in range(3):
         for rel in _RELATIONS:
-            val = eval_abcd_state(rel, dead)
-            assert val == EXT_STATE_IDENTITY, f"relation {rel} fails in the {dead}-dead model: {val}"
+            val = eval_abcd_state(rel, symbol)
+            assert val == EXT_STATE_IDENTITY, f"relation {rel} fails in the model of ({symbol}): {val}"
         # the pre-twisted tables agree with twisting at product time, from either flip
-        images = _PRETWISTED[dead][0]
+        images = _PRETWISTED[symbol][0]
         for x in "abcd":
             for y in "abcd":
-                val = eval_abcd_state(x + y, dead)
+                val = eval_abcd_state(x + y, symbol)
                 want = _state_multiply(alpha, images[x], images[y])
-                assert val == want, f"step {x}{y} fails in the {dead}-dead model: {val}"
+                assert val == want, f"step {x}{y} fails in the model of ({symbol}): {val}"
     # the product ab must land on the bare shift in the standard dictionary
-    assert eval_abcd_state("ab", "d") == _T
+    assert eval_abcd_state("ab") == _T
     # alpha really is the stated automorphism on the generators
     t_inv = _state_inverse(alpha, _T)
     assert alpha(_T) == t_inv

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from .words import FreeWord, empty_word
+from .words import FreeWord, _check_names, empty_word
 
 __all__ = [
     "MarkedGroupHandle",
@@ -92,8 +92,10 @@ def make_handle(
     The flags come from the oracle; the element protocol must agree with it
     on every generator square, since ball searches prune by the flags, and
     each inverse letter must undo its letter from either side, since searches
-    extend words by inverse letters.
+    extend words by inverse letters. The generator names follow the rule of
+    ``word_from_str``: distinct single lowercase characters.
     """
+    _check_names(gen_names)
     k = len(gen_names)
     assert trivial(empty_word(k)), "oracle must accept the empty word"
     flags = tuple(bool(trivial(FreeWord(((i, 1), (i, 1)), k))) for i in range(k))

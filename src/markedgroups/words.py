@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+from typing import Sequence
 
 __all__ = [
     "FreeWord",
@@ -26,6 +27,7 @@ __all__ = [
     "word_from_str",
     "GEN_ALPHABET",
     "klein_reduce",
+    "gen_word_from_free",
 ]
 
 
@@ -138,14 +140,16 @@ def is_square(w: FreeWord) -> bool:
     return core[: n // 2] == core[n // 2 :]
 
 
-def _check_names(names: tuple[str, ...]) -> None:
+def _check_names(names: Sequence[str]) -> None:
     if not all(len(n) == 1 and n.islower() for n in names):
         raise ValueError("generator names must be single lowercase characters")
+    if len(set(names)) != len(names):
+        raise ValueError("generator names must be distinct")
 
 
 def word_to_str(w: FreeWord, names: tuple[str, ...]) -> str:
     """Letters as characters, one name per generator; inverse letters are
-    uppercased. ``names`` must be single lowercase characters."""
+    uppercased. ``names`` must be distinct single lowercase characters."""
     _check_names(names)
     if len(names) != w.rank:
         raise ValueError("need one name per generator")
@@ -155,7 +159,7 @@ def word_to_str(w: FreeWord, names: tuple[str, ...]) -> str:
 def word_from_str(text: str, names: tuple[str, ...]) -> FreeWord:
     """Parse a word; lowercase letter = generator, uppercase = inverse.
 
-    Whitespace is ignored. ``names`` must be single lowercase characters.
+    Whitespace is ignored. ``names`` must be distinct single lowercase characters.
     """
     _check_names(names)
     lookup = {}

@@ -9,7 +9,6 @@ evidence, not circularity. Frozen constants were computed from these oracles
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 # ---------------------------------------------------------------------------
 # Frozen constants
@@ -43,6 +42,11 @@ ORACLE_SPIN = {
     "c": ("a", "e", "a"),
     "d": ("e", "a", "a"),
 }
+
+
+def dead_letter(symbol: int) -> str:
+    """The letter whose spin entry at the symbol is e."""
+    return next(x for x, spin in ORACLE_SPIN.items() if spin[symbol] == "e")
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +216,10 @@ def _lamp_mult(u, v, n=2):
     return ({p: v for p, v in lamps.items() if v}, z1 + z2)
 
 
-def brute_gamma_lamp(n_max: int) -> list[int]:
-    """Ball sizes of the (s, t) marking by word enumeration over 4 letters."""
-    s = ({0: 1}, 0)
-    t = ({}, 1)
-    t_inv = ({}, -1)
-    gens = [s, t, t_inv, s]  # s is its own inverse
+def brute_gamma_lamp(n_max: int, modulus: int = 2) -> list[int]:
+    """Ball sizes of Z_modulus wr Z marked (s, t), by breadth-first search
+    over the four letters."""
+    gens = [({0: 1}, 0), ({0: modulus - 1}, 0), ({}, 1), ({}, -1)]
 
     def freeze(e):
         lamps, z = e
@@ -231,7 +233,7 @@ def brute_gamma_lamp(n_max: int) -> list[int]:
         nxt = []
         for e in layer:
             for g in gens:
-                prod = _lamp_mult(e, g)
+                prod = _lamp_mult(e, g, modulus)
                 key = freeze(prod)
                 if key not in seen:
                     seen.add(key)
@@ -263,25 +265,44 @@ def free_normal_form(letters) -> tuple:
     return tuple(out)
 
 
-def lamp_gamma_closed_form(n_max: int) -> list[int]:
-    """Ball sizes of Z_2 wr Z marked (s, t), counted without enumeration.
+def lamp_gamma_closed_form(n_max: int, modulus: int = 2) -> list[int]:
+    """Ball sizes of Z_modulus wr Z marked (s, t), counted without enumeration.
 
-    An element (lit lamp set A, cursor z) has length |A| plus the shortest
-    cursor walk from 0 to z that visits every lit lamp: with lo and hi the
-    ends of A, 0 and z, that walk costs 2 (hi - lo) - |z| (Cleary-Taback,
-    Dead end words in lamplighter groups, 2005). So sum over (lo, hi, z):
-    an end away from both 0 and z must itself be lit, and each of the other
-    ``free`` positions of [lo, hi] is lit or not, C(free, i) ways for i lit.
+    An element (lamps f, cursor z) has length sum_p min(f(p), modulus - f(p))
+    plus the shortest cursor walk from 0 to z that visits every lit lamp:
+    with lo and hi the ends of the lit lamps, 0 and z, that walk costs
+    2 (hi - lo) - |z| (Cleary-Taback, Dead end words in lamplighter groups,
+    2005). So sum over (lo, hi, z): an end that is neither 0 nor z must
+    itself be lit, and each position of [lo, hi] contributes its lamp-cost
+    polynomial, ``lit`` for a forced end and 1 + ``lit`` for any other.
     """
+    lit = [0] * (modulus // 2 + 1)  # lit[c]: nonzero lamp values of cost c
+    for v in range(1, modulus):
+        lit[min(v, modulus - v)] += 1
+    free = [1] + lit[1:]
+
+    def times(p, q):
+        out = [0] * (n_max + 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q[: n_max + 1 - i]):
+                out[i + j] += a * b
+        return out
+
     counts = [0] * (n_max + 1)  # counts[n]: elements of length exactly n
     for lo in range(-n_max, 1):
         for hi in range(n_max + lo + 1):
             for z in range(lo, hi + 1):
                 walk = 2 * (hi - lo) - abs(z)
+                if walk > n_max:
+                    continue
                 forced = (lo < min(0, z)) + (hi > max(0, z))
-                free = hi - lo + 1 - forced
-                for i in range(n_max - walk - forced + 1):
-                    counts[walk + forced + i] += comb(free, i)
+                poly = [1]
+                for _ in range(forced):
+                    poly = times(poly, lit)
+                for _ in range(hi - lo + 1 - forced):
+                    poly = times(poly, free)
+                for cost, ways in enumerate(poly[: n_max - walk + 1]):
+                    counts[walk + cost] += ways
     gamma, total = [], 0
     for c in counts:
         total += c
@@ -365,14 +386,12 @@ def ext_model_oracle(word: str, dead: str = "d"):
 
     The dead letter is the one whose spin entry is e at some symbol; it plays
     d, and the two letters active at that symbol play b and c in
-    alphabetical order. Whitespace is skipped and upper case letters are the
-    same involutions.
+    alphabetical order. Upper case letters are the same involutions.
     """
     symbol = ORACLE_SPIN[dead].index("e")
     actives = sorted(x for x in ORACLE_SPIN if ORACLE_SPIN[x][symbol] == "a")
     role = {"a": "a", dead: "d", actives[0]: "b", actives[1]: "c"}
     acc = (frozenset(), 0, 0)
     for ch in word:
-        if not ch.isspace():
-            acc = _ext_oracle_mult(acc, ORACLE_EXT_IMAGES[role[ch.lower()]])
+        acc = _ext_oracle_mult(acc, ORACLE_EXT_IMAGES[role[ch.lower()]])
     return acc

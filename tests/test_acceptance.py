@@ -78,10 +78,10 @@ def test_criterion_01_defining_relations():
             om = _sample_omega(rng)
             for rel in RELATORS:
                 assert oracles.oracle_acts_trivially(rel, _oracle_omega(om), 10), (str(om), rel)
-        # (ii) the wreath model under every dead-letter assignment
-        for dead in "bcd":
+        # (ii) the wreath model of every constant sequence
+        for symbol in range(3):
             for rel in RELATORS:
-                assert eval_abcd_state(rel, dead) == EXT_STATE_IDENTITY, (dead, rel)
+                assert eval_abcd_state(rel, symbol) == EXT_STATE_IDENTITY, (symbol, rel)
         # (iii) every marked handle honors its involutions (and bcd where 4-gen)
         handles = [
             grig_handle("(012)"),

@@ -16,13 +16,11 @@ from markedgroups.grigorchuk import (
     _omega_id,
     act,
     TreeKeys,
-    dead_letter_for,
     is_trivial,
     limit_trivial,
     order_of,
     parse_omega,
     root_parity,
-    route_constant,
     sections,
     translate_L_word,
 )
@@ -349,16 +347,6 @@ def test_contraction_reads_omega_below_log_length():
             assert len(verdicts) == 1, (w, prefix)
             cases += 1
     assert cases == 75622
-
-
-def test_route_constant_table():
-    assert route_constant(0) == {"a": "a", "b": "b", "c": "c", "d": "d"}
-    assert route_constant(1)["c"] == "d"
-    assert route_constant(2)["b"] == "d"
-    for sym in (0, 1, 2):
-        table = route_constant(sym)
-        assert table[dead_letter_for(sym)] == "d"
-        assert sorted(table.values()) == ["a", "b", "c", "d"]
 
 
 

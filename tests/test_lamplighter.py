@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 import markedgroups.lamplighter as lamplighter_module
 import oracles
-from markedgroups.grigorchuk import dead_letter_for
 from markedgroups.handles import ext_model_handle
 from markedgroups.lamplighter import (
     EXT_STATE_IDENTITY,
@@ -247,36 +246,36 @@ def _state_as_oracle(s):
     return (frozenset(low + i for i in range(mask.bit_length()) if mask >> i & 1), shift, flip)
 
 
-@given(
-    st.sampled_from("bcd"),
-    st.lists(st.sampled_from("abcdABCD \t"), max_size=64).map("".join),
-)
-def test_eval_abcd_state_matches_oracle_and_fold(dead, word):
-    value = eval_abcd_state(word, dead)
-    assert _state_as_oracle(value) == oracles.ext_model_oracle(word, dead)
-    images = ext_pretwisted_images(dead)[0]
+SYMBOLS = st.integers(0, 2)
+
+
+@given(SYMBOLS, st.lists(st.sampled_from("abcd"), max_size=64).map("".join))
+def test_eval_abcd_state_matches_oracle_and_fold(symbol, word):
+    value = eval_abcd_state(word, symbol)
+    assert _state_as_oracle(value) == oracles.ext_model_oracle(word, oracles.dead_letter(symbol))
+    images = ext_pretwisted_images(symbol)[0]
     acc = EXT_STATE_IDENTITY
     for ch in word:
-        if not ch.isspace():
-            acc = _mul(acc, images[ch])
+        acc = _mul(acc, images[ch])
     assert value == acc
 
 
 def test_eval_abcd_state_sweeps_short_words():
-    # every word of length <= 6, for each dead letter: the state reads as the
+    # every word of length <= 6, for each symbol: the state reads as the
     # oracle's value, and equal oracle values give equal states
     words = ["".join(w) for n in range(7) for w in product("abcd", repeat=n)]
     assert len(words) == 5461
-    for dead in "bcd":
+    for symbol in range(3):
+        dead = oracles.dead_letter(symbol)
         states = {}
         for w in words:
             value = oracles.ext_model_oracle(w, dead)
-            state = eval_abcd_state(w, dead)
-            assert _state_as_oracle(state) == value, (dead, w)
-            assert states.setdefault(value, state) == state, (dead, w)
+            state = eval_abcd_state(w, symbol)
+            assert _state_as_oracle(state) == value, (symbol, w)
+            assert states.setdefault(value, state) == state, (symbol, w)
 
 
-MODEL_HANDLES = {dead_letter_for(symbol): ext_model_handle(symbol) for symbol in range(3)}
+MODEL_HANDLES = [ext_model_handle(symbol) for symbol in range(3)]
 MODEL_WORDS = st.lists(st.sampled_from("abcdABCD"), max_size=12).map("".join)
 
 
@@ -298,49 +297,56 @@ def model_word_pairs(draw):
     return u, u[:k] + draw(st.sampled_from(("aa", "bb", "cc", "dd", "bcd", "dbc", "cbd"))) + u[k:]
 
 
-@given(st.sampled_from("bcd"), model_word_pairs())
-@example("d", ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
-def test_ext_state_arithmetic_matches_oracle(dead, pair):
+@given(SYMBOLS, model_word_pairs())
+@example(0, ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
+def test_ext_state_arithmetic_matches_oracle(symbol, pair):
     # handle elements are equal exactly when the oracle values are, and the
     # state product and inverse agree with the oracle
     u, v = pair
-    handle = MODEL_HANDLES[dead]
+    dead = oracles.dead_letter(symbol)
+    handle = MODEL_HANDLES[symbol]
     same = _handle_element(handle, u) == _handle_element(handle, v)
     assert same == (oracles.ext_model_oracle(u, dead) == oracles.ext_model_oracle(v, dead))
-    eu, ev = eval_abcd_state(u, dead), eval_abcd_state(v, dead)
+    # eval_abcd_state reads lower case only; every letter is an involution
+    u, v = u.lower(), v.lower()
+    eu, ev = eval_abcd_state(u, symbol), eval_abcd_state(v, symbol)
     assert _state_as_oracle(_mul(eu, ev)) == oracles.ext_model_oracle(u + v, dead)
-    # every letter is an involution, so the inverse of u is u reversed
+    # so the inverse of u is u reversed
     assert _state_as_oracle(_inv(eu)) == oracles.ext_model_oracle(u[::-1], dead)
 
 
-@given(st.sampled_from("bcd"), model_word_pairs())
-@example("d", ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
-@example("d", ("add", "a"))  # the second d clears the only lamp, at position 1
-def test_eval_abcd_state_is_a_normal_form(dead, pair):
+@given(SYMBOLS, model_word_pairs())
+@example(0, ("abdba", "abdbadd"))  # the last d clears the lowest of lamps {0, 1}
+@example(0, ("add", "a"))  # the second d clears the only lamp, at position 1
+def test_eval_abcd_state_is_a_normal_form(symbol, pair):
     # states are equal exactly when the oracle values are, and each state is
     # the handle's product over the same letters
     u, v = pair
-    su, sv = eval_abcd_state(u, dead), eval_abcd_state(v, dead)
+    dead = oracles.dead_letter(symbol)
+    su, sv = eval_abcd_state(u.lower(), symbol), eval_abcd_state(v.lower(), symbol)
     assert (su == sv) == (oracles.ext_model_oracle(u, dead) == oracles.ext_model_oracle(v, dead))
-    handle = MODEL_HANDLES[dead]
+    handle = MODEL_HANDLES[symbol]
     assert su == _handle_element(handle, u)
     assert sv == _handle_element(handle, v)
 
 
 def test_eval_abcd_state_rejects_bad_input():
-    with pytest.raises(ValueError, match="'e' not in alphabet"):
-        eval_abcd_state("abe")
-    with pytest.raises(ValueError, match="dead letter must be one of b, c, d"):
-        eval_abcd_state("ab", "a")
-    with pytest.raises(ValueError, match="dead letter must be one of b, c, d"):
-        ext_pretwisted_images("a")
+    # the word is exactly the lower-case a..d string that klein_reduce reads
+    for word in ("abe", "aA", "a b"):
+        with pytest.raises(ValueError, match="not in alphabet abcd"):
+            eval_abcd_state(word)
+    for symbol in (3, -1, "d"):
+        with pytest.raises(ValueError, match="symbol must be 0, 1 or 2"):
+            eval_abcd_state("ab", symbol)
+        with pytest.raises(ValueError, match="symbol must be 0, 1 or 2"):
+            ext_pretwisted_images(symbol)
 
 
 def test_eval_abcd_state_is_one_pass(monkeypatch):
     # the word is folded over tables built at import: no element arithmetic
     # runs per letter, so breaking it leaves the value unchanged
     word = "".join("abcd"[pow(3, i, 101) % 4] for i in range(200))
-    want = eval_abcd_state(word, "c")
+    want = eval_abcd_state(word, 1)
     assert want[0]
 
     def broken(*args):
@@ -348,18 +354,19 @@ def test_eval_abcd_state_is_one_pass(monkeypatch):
 
     for name in ("lamp_multiply", "alpha", "_from_dict", "LampElement"):
         monkeypatch.setattr(lamplighter_module, name, broken)
-    assert eval_abcd_state(word, "c") == want
+    assert eval_abcd_state(word, 1) == want
 
 
-def test_abcd_dictionary_relations_all_dead_letters():
+def test_abcd_dictionary_relations_all_symbols():
     e = EXT_STATE_IDENTITY
-    for dead in "bcd":
-        plain, flipped = ext_pretwisted_images(dead)
+    for symbol in range(3):
+        plain, flipped = ext_pretwisted_images(symbol)
+        assert sorted(plain) == sorted(flipped) == list("abcd"), symbol
         for g in "abcd":
-            assert _mul(plain[g], plain[g]) == e, (dead, g)
-            assert flipped[g] == alpha(plain[g]), (dead, g)
-        assert _mul(_mul(plain["b"], plain["c"]), plain["d"]) == e, dead
-        assert plain[dead][0], dead  # dead letter carries the lamp
+            assert _mul(plain[g], plain[g]) == e, (symbol, g)
+            assert flipped[g] == alpha(plain[g]), (symbol, g)
+        assert _mul(_mul(plain["b"], plain["c"]), plain["d"]) == e, symbol
+        assert plain[oracles.dead_letter(symbol)][0], symbol  # the dead letter carries the lamp
 
 
 def test_eval_st_word():

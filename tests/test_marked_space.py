@@ -37,7 +37,7 @@ from markedgroups.words import (
 )
 
 FREE2 = free_handle(2)
-FREE4 = free_handle(4, ("a", "b", "c", "d"))
+FREE4 = free_handle(4)
 LAMP = lamplighter_handle(2)
 G012 = grig_handle("(012)")
 G021 = grig_handle("(021)")
@@ -79,6 +79,24 @@ def test_make_handle_rejects_protocol_disagreeing_with_oracle():
         )
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_formal_handles_name_their_generators_as_words_do(k):
+    # the names round-trip through word_to_str and word_from_str
+    for handle in (free_handle(k), trivial_handle(k)):
+        assert handle.gen_names == tuple("stuvwxyz"[:k])
+        word = FreeWord(tuple((i, sign) for i in range(k) for sign in (1, -1)), k)
+        assert word_from_str(word_to_str(word, handle.gen_names), handle.gen_names) == word
+
+
+def test_make_handle_rejects_names_words_cannot_spell():
+    for factory in (free_handle, trivial_handle):
+        with pytest.raises(ValueError, match="at most 8"):
+            factory(9)
+    for names in (("g1",), ("G",), ("",), ("g", "g")):
+        with pytest.raises(ValueError, match="generator names must be"):
+            make_handle("bad", names, lambda w: not w.letters, (), lambda e, letter: e + (letter,))
+
+
 def test_make_handle_rejects_a_wrong_inverse_letter():
     # Z_3 where g^-1 acts as g: the squares agree with the oracle, but a
     # search that appends g^-1 would multiply by g
@@ -108,10 +126,23 @@ def test_growth_frozen_lamp_vs_brute():
     assert growth_sequence(LAMP, 4) == oracles.brute_gamma_lamp(4)
 
 
-def test_lamp_growth_closed_form():
+# the largest radius at which the ball search for each modulus stays under a second
+LAMP_RADII = {2: 14, 3: 11, 4: 10, 5: 10, 6: 9, 7: 9}
+
+
+@pytest.mark.parametrize("modulus", sorted(LAMP_RADII))
+def test_lamp_growth_closed_form(modulus):
     # the closed form counts lamp configurations; brute force enumerates words
-    assert oracles.lamp_gamma_closed_form(6) == oracles.brute_gamma_lamp(6)
-    assert growth_sequence(lamplighter_handle(2), 14) == oracles.lamp_gamma_closed_form(14)
+    assert oracles.lamp_gamma_closed_form(6, modulus) == oracles.brute_gamma_lamp(6, modulus)
+    r = LAMP_RADII[modulus]
+    assert growth_sequence(lamplighter_handle(modulus), r) == oracles.lamp_gamma_closed_form(r, modulus)
+
+
+def test_lamp_growth_closed_form_pins_the_ball_workload():
+    # the final counts of `growth --family lamp --nmax 12` and of
+    # `growth --family lamp --modulus 3 --nmax 10`
+    assert oracles.lamp_gamma_closed_form(12)[-1] == 4167
+    assert oracles.lamp_gamma_closed_form(10, 3)[-1] == 10495
 
 
 def test_growth_frozen_tree_vs_brute():
@@ -521,7 +552,7 @@ def _subgroup_parent(parent):
     """The x/y subgroups over the parent, and the oracle's triviality
     verdict on an a..d string."""
     if isinstance(parent, int):
-        dead = next(x for x, spin in oracles.ORACLE_SPIN.items() if spin[parent] == "e")
+        dead = oracles.dead_letter(parent)
         subgroups = [_model_l_handle(parent)]
         return subgroups, lambda word: oracles.ext_model_oracle(word, dead) == (frozenset(), 0, 0)
     omega, oracle_omega = parent

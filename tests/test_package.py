@@ -56,6 +56,23 @@ def _package_trees():
     return [(path.name, ast.parse(path.read_text())) for path in sorted((SRC / "markedgroups").glob("*.py"))]
 
 
+def test_names_imported_from_siblings_are_exported():
+    # a public name that one package module imports from another is part of
+    # the other's interface, so the other's __all__ lists it
+    imported, missing = 0, []
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                exported = getattr(importlib.import_module(f"markedgroups.{node.module}"), "__all__", [])
+                for alias in node.names:
+                    if not alias.name.startswith("_"):
+                        imported += 1
+                        if alias.name not in exported:
+                            missing.append(f"{name}: {node.module}.{alias.name}")
+    assert imported > 20
+    assert not missing, missing
+
+
 def test_only_the_cli_writes_payload_bytes():
     # the library returns records; cli alone stamps the schema version and
     # turns them into JSON or CSV text, so it alone holds a "schema" literal
